@@ -184,8 +184,9 @@ void BM_GbtPredict(benchmark::State& state) {
 BENCHMARK(BM_GbtPredict)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- compiled batch inference ----
-// Reference node-walking predict vs the flattened SoA engine
-// (ml/compiled_ensemble.hpp) on the same model and a 4096-row batch.
+// Reference node-walking predict vs the compiled engine
+// (ml/compiled_ensemble.hpp; the bin-code pool for these hist-trained
+// models) on the same model and a 4096-row batch.
 // Single-threaded on both sides so the ratio is the per-core speedup.
 
 ml::Matrix tiled_rows(const ml::Matrix& src, std::size_t rows) {
@@ -232,68 +233,50 @@ void BM_GbtPredictCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtPredictCompiled)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-// Quantized bin-code engine on the same model/rows: uint8 row codes +
-// uint8 threshold compares + uint16 children, so one output's trees stay
-// L1-resident. Lossless for this model, so the ratio to
-// BM_GbtPredictCompiled is pure kernel speedup.
-void BM_GbtPredictQuantized(benchmark::State& state) {
-  const auto compiled =
-      ml::CompiledEnsemble::compile(predict_gbt_model(), {.quantize = true});
-  if (!compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
-  const ml::Matrix x =
-      tiled_rows(FitFixture::get().x, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.predict(x).flat().data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
+// The served model's shape: the Fig. 2 profile (GbtOptions{}: 400 rounds,
+// depth 8, four outputs) fit on the paper-scale fixture.
+const ml::GbtRegressor& serve_gbt_model() {
+  static const ml::GbtRegressor model = [] {
+    const auto& f = MethodFixture::get();
+    ml::GbtRegressor m(ml::GbtOptions{});
+    m.fit(f.x, f.y, &ThreadPool::shared());
+    return m;
+  }();
+  return model;
 }
-BENCHMARK(BM_GbtPredictQuantized)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-// Compile-time cost of each engine (the price paid at train/load/refit).
-void BM_GbtCompileExact(benchmark::State& state) {
-  const auto& model = predict_gbt_model();
+// Compile-time cost of the served model (paid at train/load/refit): the
+// bin-code pool, laid out straight from the fitted trees.
+void BM_GbtCompile(benchmark::State& state) {
+  const auto& model = serve_gbt_model();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::CompiledEnsemble::compile(model).n_nodes());
   }
 }
-BENCHMARK(BM_GbtCompileExact)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GbtCompile)->Unit(benchmark::kMillisecond);
 
-void BM_GbtCompileQuantized(benchmark::State& state) {
-  const auto& model = predict_gbt_model();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ml::CompiledEnsemble::compile(model, {.quantize = true}).quantized());
-  }
-}
-BENCHMARK(BM_GbtCompileQuantized)->Unit(benchmark::kMillisecond);
-
-// The serve hot path: one row through the thread-local-scratch overload,
-// asserting the steady state allocates nothing (arg 0 = exact engine,
-// arg 1 = quantized).
+// The serve hot path: one row at a time through the thread-local-scratch
+// overload, rotating through the fixture's rows so branch history and
+// caches see real traffic. Asserts the steady state allocates nothing.
 void BM_GbtPredictRowServe(benchmark::State& state) {
-  const auto compiled = ml::CompiledEnsemble::compile(
-      predict_gbt_model(), {.quantize = state.range(0) != 0});
-  if (state.range(0) != 0 && !compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
-  const auto& f = FitFixture::get();
+  const auto& f = MethodFixture::get();
+  const auto compiled = ml::CompiledEnsemble::compile(serve_gbt_model());
   std::vector<double> out(compiled.n_outputs());
   // Warm the thread-local scratch so the timed loop is steady state.
   compiled.predict_row(f.x.row(0), out);
   bool allocated = false;
+  std::size_t r = 0;
   for (auto _ : state) {
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-    compiled.predict_row(f.x.row(0), out);
+    compiled.predict_row(f.x.row(r), out);
     benchmark::DoNotOptimize(out.data());
     allocated |= g_alloc_count.load(std::memory_order_relaxed) != before;
+    r = r + 1 == f.x.rows() ? 0 : r + 1;
   }
   if (allocated) state.SkipWithError("predict_row allocated on the hot path");
+  state.counters["nodes"] = static_cast<double>(compiled.n_nodes());
 }
-BENCHMARK(BM_GbtPredictRowServe)->Arg(0)->Arg(1);
+BENCHMARK(BM_GbtPredictRowServe)->Unit(benchmark::kMicrosecond);
 
 const ml::RandomForest& predict_forest_model() {
   static const ml::RandomForest model = [] {
@@ -301,9 +284,9 @@ const ml::RandomForest& predict_forest_model() {
     ml::ForestOptions options;
     options.n_trees = 25;
     // Histogram split search: the thresholds then come from <= max_bins
-    // bin edges per feature, so the same model also serves quantized —
-    // Ref / Compiled / Quantized rows compare one model. (Exact-grown
-    // forests mint too many distinct thresholds for the uint8 cut table.)
+    // bin edges per feature, so the compiled engine is the bin-code pool.
+    // (Exact-grown forests mint too many distinct thresholds for the uint8
+    // cut table and keep the exact pool.)
     options.method = ml::TreeMethod::kHist;
     ml::RandomForest m(options);
     m.fit(f.x, f.y);
@@ -333,22 +316,6 @@ void BM_ForestPredictCompiled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
 }
 BENCHMARK(BM_ForestPredictCompiled)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-void BM_ForestPredictQuantized(benchmark::State& state) {
-  const auto compiled =
-      ml::CompiledEnsemble::compile(predict_forest_model(), {.quantize = true});
-  if (!compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
-  const ml::Matrix x =
-      tiled_rows(FitFixture::get().x, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.predict(x).flat().data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
-}
-BENCHMARK(BM_ForestPredictQuantized)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_ForestFit(benchmark::State& state) {
   const auto& f = FitFixture::get();

@@ -21,16 +21,8 @@ void CrossArchPredictor::train(const Dataset& dataset,
 }
 
 void CrossArchPredictor::recompile() {
-  compiled_ = model_.fitted()
-                  ? ml::CompiledEnsemble::compile(
-                        model_, ml::CompileOptions{.quantize = options_.quantize})
-                  : ml::CompiledEnsemble{};
-}
-
-void CrossArchPredictor::set_quantized(bool quantize) {
-  if (options_.quantize == quantize) return;
-  options_.quantize = quantize;
-  if (model_.fitted()) recompile();
+  compiled_ = model_.fitted() ? ml::CompiledEnsemble::compile(model_)
+                              : ml::CompiledEnsemble{};
 }
 
 namespace {

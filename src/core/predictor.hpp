@@ -28,10 +28,6 @@ class CrossArchPredictor {
  public:
   struct Options {
     ml::GbtOptions gbt;
-    /// Compile the inference engine in quantized bin-code mode (see
-    /// ml::CompileOptions::quantize). Models that exceed the code ranges
-    /// fall back to the exact engine; quantized() reports what serves.
-    bool quantize = false;
   };
 
   CrossArchPredictor() = default;
@@ -90,13 +86,6 @@ class CrossArchPredictor {
   [[nodiscard]] const ml::CompiledEnsemble& compiled() const noexcept {
     return compiled_;
   }
-  /// True when predictions are served by the quantized bin-code engine.
-  [[nodiscard]] bool quantized() const noexcept { return compiled_.quantized(); }
-
-  /// Switches the inference engine between exact and quantized modes by
-  /// recompiling the current model (a no-op before training; the option
-  /// then applies to the eventual train/load compile).
-  void set_quantized(bool quantize);
   [[nodiscard]] const FeaturePipeline& pipeline() const noexcept { return pipeline_; }
 
   /// Persists pipeline + model to a single file; load() restores it.

@@ -45,249 +45,272 @@ std::int32_t tree_depth(const std::vector<Node>& nodes) {
   return max_depth;
 }
 
+/// CART leaf payload: appends the leaf's value vector to `values` and
+/// returns its offset (exact in a double far beyond any pool).
+auto cart_payload(std::vector<double>& values) {
+  return [&values](const TreeNode& leaf) {
+    const auto offset = static_cast<double>(values.size());
+    values.insert(values.end(), leaf.value.begin(), leaf.value.end());
+    return offset;
+  };
+}
+
 }  // namespace
 
-CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model,
-                                           CompileOptions options) {
+CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kGbt;
   ce.n_features_ = model.n_features();
   ce.n_outputs_ = model.n_outputs();
-
-  std::size_t total_nodes = 0;
-  std::size_t total_trees = 0;
-  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
-    total_trees += model.ensemble(k).size();
-    for (const GbtTree& tree : model.ensemble(k)) total_nodes += tree.nodes.size();
-  }
-  MPHPC_EXPECTS(total_nodes <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  ce.feature_.reserve(total_nodes);
-  ce.threshold_.reserve(total_nodes);
-  ce.left_.reserve(total_nodes);
-  ce.right_.reserve(total_nodes);
-  ce.roots_.reserve(total_trees);
-  ce.depth_.reserve(total_trees);
-
+  std::vector<const std::vector<GbtNode>*> trees;
   ce.output_begin_ = {0};
   for (std::size_t k = 0; k < model.n_outputs(); ++k) {
     ce.base_.push_back(model.base_score(k));
-    for (const GbtTree& tree : model.ensemble(k)) {
-      const auto origin = static_cast<std::int32_t>(ce.feature_.size());
-      ce.roots_.push_back(origin);
-      ce.depth_.push_back(tree_depth(tree.nodes));
-      std::int32_t local = 0;
-      for (const GbtNode& node : tree.nodes) {
-        if (node.is_leaf()) {
-          // Self-loop leaf: extra walk steps are no-ops; the scalar leaf
-          // weight rides in the threshold slot.
-          ce.feature_.push_back(0);
-          ce.threshold_.push_back(node.weight);
-          ce.left_.push_back(origin + local);
-          ce.right_.push_back(origin + local);
-        } else {
-          ce.feature_.push_back(node.feature);
-          ce.threshold_.push_back(node.threshold);
-          ce.left_.push_back(origin + node.left);
-          ce.right_.push_back(origin + node.right);
-        }
-        ++local;
-      }
-    }
-    ce.output_begin_.push_back(static_cast<std::int32_t>(ce.roots_.size()));
+    for (const GbtTree& tree : model.ensemble(k)) trees.push_back(&tree.nodes);
+    ce.output_begin_.push_back(static_cast<std::int32_t>(trees.size()));
   }
-  if (options.quantize) ce.build_quantized_pool();
+  ce.build_pools(trees, [](const GbtNode& leaf) { return leaf.weight; });
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-namespace {
-
-/// Appends one CART tree's nodes to the SoA pool, inlining leaf value
-/// vectors into `values`; shared by the forest and single-tree compilers.
-void append_cart_tree(const DecisionTree& tree, std::vector<std::int32_t>& feature,
-                      std::vector<double>& threshold, std::vector<std::int32_t>& left,
-                      std::vector<std::int32_t>& right, std::vector<std::int32_t>& roots,
-                      std::vector<std::int32_t>& depth, std::vector<double>& values) {
-  const auto origin = static_cast<std::int32_t>(feature.size());
-  roots.push_back(origin);
-  depth.push_back(tree_depth(tree.nodes()));
-  std::int32_t local = 0;
-  for (const TreeNode& node : tree.nodes()) {
-    if (node.is_leaf()) {
-      // Self-loop leaf; the threshold slot holds the offset of the leaf's
-      // value vector in `values` (exact in a double far beyond any pool).
-      feature.push_back(0);
-      threshold.push_back(static_cast<double>(values.size()));
-      left.push_back(origin + local);
-      right.push_back(origin + local);
-      values.insert(values.end(), node.value.begin(), node.value.end());
-    } else {
-      feature.push_back(node.feature);
-      threshold.push_back(node.threshold);
-      left.push_back(origin + node.left);
-      right.push_back(origin + node.right);
-    }
-    ++local;
-  }
-}
-
-}  // namespace
-
-CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model,
-                                           CompileOptions options) {
+CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kForestMean;
   ce.n_outputs_ = tree_output_width(model.trees().front());
   ce.value_width_ = ce.n_outputs_;
   ce.n_trees_ = static_cast<double>(model.trees().size());
-
-  std::size_t total_nodes = 0;
-  for (const DecisionTree& tree : model.trees()) {
-    MPHPC_EXPECTS(tree.fitted());
-    total_nodes += tree.nodes().size();
-  }
-  MPHPC_EXPECTS(total_nodes <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  ce.feature_.reserve(total_nodes);
-  ce.threshold_.reserve(total_nodes);
-  ce.left_.reserve(total_nodes);
-  ce.right_.reserve(total_nodes);
-  ce.roots_.reserve(model.trees().size());
-  ce.depth_.reserve(model.trees().size());
-
-  for (const DecisionTree& tree : model.trees()) {
-    append_cart_tree(tree, ce.feature_, ce.threshold_, ce.left_, ce.right_,
-                     ce.roots_, ce.depth_, ce.values_);
-  }
   // Every fitted tree saw the same X, so any tree's feature count works.
   ce.n_features_ = model.trees().front().n_features();
-  if (options.quantize) ce.build_quantized_pool();
+  std::vector<const std::vector<TreeNode>*> trees;
+  for (const DecisionTree& tree : model.trees()) {
+    MPHPC_EXPECTS(tree.fitted());
+    trees.push_back(&tree.nodes());
+  }
+  ce.build_pools(trees, cart_payload(ce.values_));
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-CompiledEnsemble CompiledEnsemble::compile(const DecisionTree& model,
-                                           CompileOptions options) {
+CompiledEnsemble CompiledEnsemble::compile(const DecisionTree& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kSingleTree;
   ce.n_outputs_ = tree_output_width(model);
   ce.value_width_ = ce.n_outputs_;
   ce.n_features_ = model.n_features();
-  MPHPC_EXPECTS(model.nodes().size() <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  append_cart_tree(model, ce.feature_, ce.threshold_, ce.left_, ce.right_,
-                   ce.roots_, ce.depth_, ce.values_);
-  if (options.quantize) ce.build_quantized_pool();
+  ce.build_pools(std::vector<const std::vector<TreeNode>*>{&model.nodes()},
+                 cart_payload(ce.values_));
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-void CompiledEnsemble::build_quantized_pool() {
-  // Works uniformly over every model kind from the exact pool alone:
-  // internal nodes are the ones that do not self-loop (leaves have
-  // left_[i] == i), and their threshold_ slot holds a real split value.
-  quantized_ = false;
-  quantize_note_.clear();
+template <typename Node, typename Payload>
+void CompiledEnsemble::build_pools(const std::vector<const std::vector<Node>*>& trees,
+                                   const Payload& payload) {
+  n_nodes_ = 0;
+  for (const std::vector<Node>* nodes : trees) n_nodes_ += nodes->size();
+  MPHPC_EXPECTS(n_nodes_ <
+                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
+  roots_.reserve(trees.size());
+  depth_.reserve(trees.size());
+  std::size_t origin = 0;
+  for (const std::vector<Node>* nodes : trees) {
+    roots_.push_back(static_cast<std::int32_t>(origin));
+    depth_.push_back(tree_depth(*nodes));
+    origin += nodes->size();
+  }
+  quantize_note_ = build_cut_tables(trees);
+  quantized_ = quantize_note_.empty();
+  if (quantized_) {
+    build_bin_code_pool(trees, payload);
+  } else {
+    build_exact_pool(trees, payload);
+  }
+}
+
+template <typename Node>
+std::string CompiledEnsemble::build_cut_tables(
+    const std::vector<const std::vector<Node>*>& trees) {
   if (n_features_ > std::numeric_limits<std::uint16_t>::max()) {
-    quantize_note_ = "feature count exceeds uint16";
-    return;
+    return "feature count exceeds uint16";
+  }
+  std::vector<std::vector<double>> cuts(n_features_);
+  std::vector<std::uint32_t> parents;
+  for (const std::vector<Node>* nodes : trees) {
+    if (nodes->size() > std::size_t{std::numeric_limits<std::uint16_t>::max()}) {
+      return "a tree has more than 65535 nodes";
+    }
+    // The BFS renumbering below needs a true tree: every node but the
+    // root has exactly one parent (a deserialized node graph may share a
+    // child between parents, or leave nodes unreachable).
+    parents.assign(nodes->size(), 0);
+    for (const Node& node : *nodes) {
+      if (node.is_leaf()) continue;
+      cuts[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
+      ++parents[static_cast<std::size_t>(node.left)];
+      ++parents[static_cast<std::size_t>(node.right)];
+    }
+    for (std::size_t i = 0; i < parents.size(); ++i) {
+      if (parents[i] != (i == 0 ? 0U : 1U)) {
+        return "a tree node does not have exactly one parent";
+      }
+    }
   }
   // Per-feature sorted distinct cut tables from the fitted thresholds.
-  std::vector<std::vector<double>> cuts(n_features_);
-  for (std::size_t i = 0; i < feature_.size(); ++i) {
-    if (left_[i] == static_cast<std::int32_t>(i)) continue;  // leaf
-    cuts[static_cast<std::size_t>(feature_[i])].push_back(threshold_[i]);
-  }
   cut_begin_.assign(1, 0);
-  cuts_.clear();
   for (std::vector<double>& fc : cuts) {
     std::sort(fc.begin(), fc.end());
     fc.erase(std::unique(fc.begin(), fc.end()), fc.end());
     // A node's cut index must fit uint8 and a row code #{cuts < v} can be
     // n_cuts itself, so both need n_cuts <= 255.
     if (fc.size() > 255) {
-      quantize_note_ = "a feature has more than 255 distinct thresholds";
       cuts_.clear();
       cut_begin_.clear();
-      return;
+      return "a feature has more than 255 distinct thresholds";
     }
     cuts_.insert(cuts_.end(), fc.begin(), fc.end());
     cut_begin_.push_back(static_cast<std::uint32_t>(cuts_.size()));
   }
-  // Re-encode the pool tree by tree: renumber nodes in BFS order so an
-  // internal node's children land adjacent (left at child_base, right at
+  return "";
+}
+
+template <typename Node, typename Payload>
+void CompiledEnsemble::build_bin_code_pool(
+    const std::vector<const std::vector<Node>*>& trees, const Payload& payload) {
+  // Encode tree by tree, renumbering nodes in BFS order so an internal
+  // node's children land adjacent (left at child_base, right at
   // child_base + 1 — the walk step is then one add off a flag), and pack
   // each node into a single word: 32 bits when the feature index fits
-  // uint8 (the pool then runs ~5x smaller than the exact one and a whole
-  // ensemble's walk state is L1-resident), 64 bits otherwise. Leaves get
-  // cut = 255, an index no internal node can carry (cut indices stop at
-  // 254 because a feature has at most 255 cuts), so `code > 255` is
-  // always false and the leaf self-loops through its own child_base.
+  // uint8, 64 bits otherwise. Leaves get cut = 255, an index no internal
+  // node can carry (cut indices stop at 254 because a feature has at most
+  // 255 cuts), so `code > 255` is always false and the leaf self-loops
+  // through its own child_base. BFS visits nodes in output order, so each
+  // node's word is appended as it is dequeued.
   const bool narrow = n_features_ <= 255;
   if (narrow) {
-    q_node32_.resize(feature_.size());
+    q_node32_.reserve(n_nodes_);
   } else {
-    q_node64_.resize(feature_.size());
+    q_node64_.reserve(n_nodes_);
   }
-  q_payload_.resize(feature_.size());
-  std::vector<std::uint32_t> order;       // order[new_local] = old_local
-  std::vector<std::uint32_t> child_base;  // per new_local
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const auto begin = static_cast<std::size_t>(roots_[t]);
-    const std::size_t end = t + 1 < roots_.size()
-                                ? static_cast<std::size_t>(roots_[t + 1])
-                                : feature_.size();
-    if (end - begin > std::size_t{std::numeric_limits<std::uint16_t>::max()}) {
-      quantize_note_ = "a tree has more than 65535 nodes";
-      q_node32_.clear();
-      q_node64_.clear();
-      q_payload_.clear();
-      cuts_.clear();
-      cut_begin_.clear();
-      return;
-    }
+  q_payload_.reserve(n_nodes_);
+  std::vector<std::uint32_t> order;  // order[new_local] = old_local
+  for (const std::vector<Node>* nodes : trees) {
     order.assign(1, 0);
-    child_base.clear();
     for (std::size_t head = 0; head < order.size(); ++head) {
-      const std::size_t old_global = begin + order[head];
-      if (left_[old_global] == static_cast<std::int32_t>(old_global)) {
-        child_base.push_back(static_cast<std::uint32_t>(head));  // self-loop
-        continue;
-      }
-      child_base.push_back(static_cast<std::uint32_t>(order.size()));
-      order.push_back(static_cast<std::uint32_t>(left_[old_global]) -
-                      static_cast<std::uint32_t>(begin));
-      order.push_back(static_cast<std::uint32_t>(right_[old_global]) -
-                      static_cast<std::uint32_t>(begin));
-    }
-    for (std::size_t j = 0; j < order.size(); ++j) {
-      const std::size_t i = begin + order[j];
-      const bool leaf = left_[i] == static_cast<std::int32_t>(i);
+      const Node& node = (*nodes)[order[head]];
       std::uint64_t feat = 0;
       std::uint64_t cut = 255;
-      if (!leaf) {
-        const auto f = static_cast<std::size_t>(feature_[i]);
-        const std::vector<double>& fc = cuts[f];
-        feat = static_cast<std::uint64_t>(f);
-        cut = static_cast<std::uint64_t>(
-            std::lower_bound(fc.begin(), fc.end(), threshold_[i]) - fc.begin());
+      std::uint64_t child = head;  // a leaf loops to itself
+      double leaf_payload = 0.0;
+      if (node.is_leaf()) {
+        leaf_payload = payload(node);
+      } else {
+        // A threshold's cut index is its own code: #{cuts < threshold}.
+        const auto f = static_cast<std::size_t>(node.feature);
+        feat = f;
+        cut = code_of(f, node.threshold);
+        child = order.size();
+        order.push_back(static_cast<std::uint32_t>(node.left));
+        order.push_back(static_cast<std::uint32_t>(node.right));
       }
       if (narrow) {
-        q_node32_[begin + j] = static_cast<std::uint32_t>(
-            feat | (cut << 8) |
-            (static_cast<std::uint64_t>(child_base[j]) << 16));
+        q_node32_.push_back(static_cast<std::uint32_t>(feat | (cut << 8) | (child << 16)));
       } else {
-        q_node64_[begin + j] = feat | (cut << 16) |
-                               (static_cast<std::uint64_t>(child_base[j]) << 32);
+        q_node64_.push_back(feat | (cut << 16) | (child << 32));
       }
-      q_payload_[begin + j] = leaf ? threshold_[i] : 0.0;
+      q_payload_.push_back(leaf_payload);
     }
   }
-  quantized_ = true;
+}
+
+template <typename Node, typename Payload>
+void CompiledEnsemble::build_exact_pool(const std::vector<const std::vector<Node>*>& trees,
+                                        const Payload& payload) {
+  feature_.reserve(n_nodes_);
+  threshold_.reserve(n_nodes_);
+  left_.reserve(n_nodes_);
+  right_.reserve(n_nodes_);
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const std::int32_t origin = roots_[t];
+    std::int32_t local = 0;
+    for (const Node& node : *trees[t]) {
+      if (node.is_leaf()) {
+        // Self-loop leaf: extra walk steps are no-ops; the payload rides
+        // in the threshold slot.
+        feature_.push_back(0);
+        threshold_.push_back(payload(node));
+        left_.push_back(origin + local);
+        right_.push_back(origin + local);
+      } else {
+        feature_.push_back(node.feature);
+        threshold_.push_back(node.threshold);
+        left_.push_back(origin + node.left);
+        right_.push_back(origin + node.right);
+      }
+      ++local;
+    }
+  }
+}
+
+template <typename Word>
+void CompiledEnsemble::walk_group(const Word* pool, std::size_t t,
+                                  const std::uint8_t* codes,
+                                  std::array<std::uint32_t, kGroup>& leaf) const noexcept {
+  // The group walks as long as its deepest tree; a shallower tree's walk
+  // parks on its self-looping leaf for the remaining steps.
+  std::int32_t steps = 0;
+  for (std::size_t l = 0; l < kGroup; ++l) steps = std::max(steps, depth_[t + l]);
+  std::array<std::uint32_t, kGroup> local{};
+  for (std::int32_t s = 0; s < steps; ++s) {
+    for (std::size_t l = 0; l < kGroup; ++l) {
+      local[l] = qstep(pool[static_cast<std::size_t>(roots_[t + l]) + local[l]], codes);
+    }
+  }
+  for (std::size_t l = 0; l < kGroup; ++l) {
+    leaf[l] = static_cast<std::uint32_t>(roots_[t + l]) + local[l];
+  }
+}
+
+template <typename Word>
+void CompiledEnsemble::predict_codes_row(const Word* pool, const std::uint8_t* codes,
+                                         double* out) const noexcept {
+  std::array<std::uint32_t, kGroup> leaf;
+  if (kind_ == Kind::kGbt) {
+    // Full groups in lock-step, then the output's last < kGroup trees one
+    // at a time; either way leaves add in boosting order, the reference
+    // accumulation order.
+    for (std::size_t k = 0; k < n_outputs_; ++k) {
+      double acc = base_[k];
+      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
+      auto t = static_cast<std::size_t>(output_begin_[k]);
+      for (; t + kGroup <= t_end; t += kGroup) {
+        walk_group(pool, t, codes, leaf);
+        for (std::size_t l = 0; l < kGroup; ++l) acc += q_payload_[leaf[l]];
+      }
+      for (; t < t_end; ++t) {
+        acc += q_payload_[qwalk(pool, roots_[t], depth_[t], codes)];
+      }
+      out[k] = acc;
+    }
+    return;
+  }
+  std::fill(out, out + n_outputs_, 0.0);
+  const auto add_leaf = [&](std::uint32_t node) {
+    const double* v = values_.data() + static_cast<std::size_t>(q_payload_[node]);
+    for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
+  };
+  std::size_t t = 0;
+  for (; t + kGroup <= roots_.size(); t += kGroup) {
+    walk_group(pool, t, codes, leaf);
+    for (std::size_t l = 0; l < kGroup; ++l) add_leaf(leaf[l]);
+  }
+  for (; t < roots_.size(); ++t) add_leaf(qwalk(pool, roots_[t], depth_[t], codes));
+  if (kind_ == Kind::kForestMean) {
+    for (std::size_t k = 0; k < n_outputs_; ++k) out[k] /= n_trees_;
+  }
 }
 
 void CompiledEnsemble::predict_tile(const Matrix& x, std::size_t lo,
@@ -304,9 +327,6 @@ void CompiledEnsemble::predict_tile(const Matrix& x, std::size_t lo,
         xr[static_cast<std::size_t>(feature_[i])] <= threshold_[i]);
     return (go_left & take_left) | (go_right & ~take_left);
   };
-  // Lanes per lock-step walk: enough independent cmov chains to saturate
-  // the load ports, few enough that lane state stays in registers.
-  constexpr std::size_t kLanes = 8;
   const auto walk_lanes = [&](std::int32_t root, std::int32_t steps,
                               const std::array<const double*, kLanes>& xr,
                               std::array<std::int32_t, kLanes>& n) {
@@ -389,7 +409,6 @@ void CompiledEnsemble::predict_tile_quantized(const Matrix& x, std::size_t lo,
   // and one range width, so every probe is eight independent masked adds
   // off a hot table — no mispredicted compares (bin_row's scalar chop,
   // serial per feature, would cost as much as the tree walks it feeds).
-  constexpr std::size_t kLanes = 8;
   {
     std::size_t r = lo;
     std::array<const double*, kLanes> xr;
@@ -499,12 +518,12 @@ inline void quad_row_offsets(std::size_t first_row, std::size_t n_features,
 // When the build targets AVX-512 and the pool is 32-bit, full 64-row
 // quads take the gather-based vector walk instead (identical integer
 // arithmetic and FP accumulation order, so results stay bit-identical);
-// the scalar lanes then only mop up the tile remainder.
+// the scalar lanes then only mop up the tile remainder. Rows left over
+// after the last full lane group take the single-row grouped-tree kernel.
 template <typename Word>
 void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
                                            std::size_t hi, Matrix& out,
                                            const std::uint8_t* codes) const {
-  constexpr std::size_t kLanes = 8;
   std::size_t scalar_lo = lo;  // rows below it were served by the vector path
 #if defined(__AVX512F__)
   if constexpr (sizeof(Word) == 4) {
@@ -570,15 +589,15 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
     }
   }
 #endif  // __AVX512F__
+  const std::size_t lanes_hi = scalar_lo + (hi - scalar_lo) / kLanes * kLanes;
   if (kind_ == Kind::kGbt) {
     for (std::size_t k = 0; k < n_outputs_; ++k) {
       const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
       const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      std::size_t r = scalar_lo;
       std::array<const std::uint8_t*, kLanes> qr;
       std::array<std::uint32_t, kLanes> local;
       std::array<double, kLanes> acc;
-      for (; r + kLanes <= hi; r += kLanes) {
+      for (std::size_t r = scalar_lo; r < lanes_hi; r += kLanes) {
         for (std::size_t l = 0; l < kLanes; ++l) {
           qr[l] = codes + (r + l - lo) * n_features_;
         }
@@ -598,53 +617,39 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
         }
         for (std::size_t l = 0; l < kLanes; ++l) out(r + l, k) = acc[l];
       }
-      for (; r < hi; ++r) {
-        double sum = base_[k];
-        const std::uint8_t* qr1 = codes + (r - lo) * n_features_;
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = qwalk(roots_[t], depth_[t], qr1);
-          sum += q_payload_[static_cast<std::size_t>(leaf)];
-        }
-        out(r, k) = sum;
-      }
     }
-    return;
-  }
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const Word* qn = pool + static_cast<std::size_t>(roots_[t]);
-    const double* qp = q_payload_.data() + static_cast<std::size_t>(roots_[t]);
-    const std::int32_t steps = depth_[t];
-    const auto add_leaf = [&](std::size_t r, std::uint32_t leaf) {
-      const double* v = values_.data() + static_cast<std::size_t>(qp[leaf]);
-      double* dst = out.row(r).data();
-      for (std::size_t k = 0; k < value_width_; ++k) dst[k] += v[k];
-    };
-    std::size_t r = scalar_lo;
-    std::array<const std::uint8_t*, kLanes> qr;
-    std::array<std::uint32_t, kLanes> local;
-    for (; r + kLanes <= hi; r += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        qr[l] = codes + (r + l - lo) * n_features_;
-      }
-      local.fill(0);
-      for (std::int32_t s = 0; s < steps; ++s) {
+  } else {
+    for (std::size_t t = 0; t < roots_.size(); ++t) {
+      const Word* qn = pool + static_cast<std::size_t>(roots_[t]);
+      const double* qp = q_payload_.data() + static_cast<std::size_t>(roots_[t]);
+      const std::int32_t steps = depth_[t];
+      std::array<const std::uint8_t*, kLanes> qr;
+      std::array<std::uint32_t, kLanes> local;
+      for (std::size_t r = scalar_lo; r < lanes_hi; r += kLanes) {
         for (std::size_t l = 0; l < kLanes; ++l) {
-          local[l] = qstep(qn[local[l]], qr[l]);
+          qr[l] = codes + (r + l - lo) * n_features_;
+        }
+        local.fill(0);
+        for (std::int32_t s = 0; s < steps; ++s) {
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            local[l] = qstep(qn[local[l]], qr[l]);
+          }
+        }
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double* v = values_.data() + static_cast<std::size_t>(qp[local[l]]);
+          double* dst = out.row(r + l).data();
+          for (std::size_t c = 0; c < value_width_; ++c) dst[c] += v[c];
         }
       }
-      for (std::size_t l = 0; l < kLanes; ++l) add_leaf(r + l, local[l]);
     }
-    for (; r < hi; ++r) {
-      std::uint32_t local1 = 0;
-      const std::uint8_t* qr1 = codes + (r - lo) * n_features_;
-      for (std::int32_t s = 0; s < steps; ++s) local1 = qstep(qn[local1], qr1);
-      add_leaf(r, local1);
+    if (kind_ == Kind::kForestMean) {
+      for (std::size_t r = lo; r < lanes_hi; ++r) {
+        for (double& v : out.row(r)) v /= n_trees_;
+      }
     }
   }
-  if (kind_ == Kind::kForestMean) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      for (double& v : out.row(r)) v /= n_trees_;
-    }
+  for (std::size_t r = lanes_hi; r < hi; ++r) {
+    predict_codes_row(pool, codes + (r - lo) * n_features_, out.row(r).data());
   }
 }
 
@@ -659,7 +664,7 @@ Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
   const auto run_rows = [&](std::size_t row_begin, std::size_t row_end) {
     if (quantized_) {
       // One code buffer per chunk, reused across its tiles: the only
-      // allocation the quantized batch path makes. The +4 pad keeps the
+      // allocation the bin-code batch path makes. The +4 pad keeps the
       // vector walk's dword gather of the last code byte inside the
       // buffer (it masks the extra bytes off; they are never used).
       std::vector<std::uint8_t> codes(kTile * n_features_ + 4);
@@ -673,9 +678,11 @@ Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
       predict_tile(x, lo, std::min(row_end, lo + kTile), out);
     }
   };
-  if (pool != nullptr && x.rows() > 1) {
+  if (pool != nullptr && x.rows() >= kLanes) {
     // Chunks are contiguous row ranges; every (row, output) accumulator is
     // owned by exactly one chunk, so the partition cannot change results.
+    // A batch under one lane group stays on this thread: a caller waiting
+    // on the pool runs any queued task, a concurrent refit's included.
     pool->parallel_chunks(0, x.rows(),
                           [&](std::size_t, std::size_t b, std::size_t e) {
                             run_rows(b, e);
@@ -705,29 +712,10 @@ void CompiledEnsemble::predict_row(std::span<const double> x,
     if (scratch.codes.size() < n_features_) scratch.codes.resize(n_features_);
     std::uint8_t* codes = scratch.codes.data();
     bin_row(x.data(), codes);
-    if (kind_ == Kind::kGbt) {
-      for (std::size_t k = 0; k < n_outputs_; ++k) {
-        double acc = base_[k];
-        const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-        const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = qwalk(roots_[t], depth_[t], codes);
-          acc += q_payload_[static_cast<std::size_t>(leaf)];
-        }
-        out[k] = acc;
-      }
-      return;
-    }
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      const std::int32_t leaf = qwalk(roots_[t], depth_[t], codes);
-      const double* v =
-          values_.data() +
-          static_cast<std::size_t>(q_payload_[static_cast<std::size_t>(leaf)]);
-      for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
-    }
-    if (kind_ == Kind::kForestMean) {
-      for (double& v : out) v /= n_trees_;
+    if (!q_node32_.empty()) {
+      predict_codes_row(q_node32_.data(), codes, out.data());
+    } else {
+      predict_codes_row(q_node64_.data(), codes, out.data());
     }
     return;
   }

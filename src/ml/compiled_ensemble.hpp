@@ -26,38 +26,52 @@
 // cross-row arithmetic exists — so chunking and tiling cannot change a
 // single result bit.
 //
-// Quantized mode (CompileOptions{.quantize = true}) additionally builds a
-// bin-code pool: every distinct split threshold of each feature becomes an
-// entry in a sorted per-feature cut table, node thresholds shrink to the
-// uint8 index of their cut, and each input row is binned ONCE per tile
-// (uint8 code per feature via lower_bound on the cut table). Because the
-// code of a value v is exactly #{cuts < v}, the walk comparison
-// `code(v) <= cut_index` decides identically to `v <= threshold` — the
-// quantized pool is a lossless re-encoding, not an approximation. The pool
-// itself is relaid out for the walk: each tree's nodes are renumbered in
-// BFS order so an internal node's two children always sit adjacent, and a
-// node packs into ONE word — 32 bits (uint8 feature | uint8 cut index |
-// uint16 tree-local index of the left child; right = left + 1) when the
-// model has at most 255 features, 64 bits with a uint16 feature field
-// otherwise. A walk step is then two loads — the node word and the row's
-// code byte — plus `next = child_base + (code > cut)`, versus five loads
-// (feature, threshold, left, right, row value) in the exact kernel; at 4
-// bytes per hot node instead of 20 a whole boosted ensemble's walk pool
-// sits L1-resident where the exact pool thrashes L2. Leaves
-// store cut = 255 (an impossible internal cut index, since codes reach at
-// most 255 and real cut indices at most 254) with the child base pointing
-// at themselves, so overshooting the walk self-loops exactly like the
-// exact pool. Leaf payloads live in a parallel q_payload_ array in the
-// same BFS order. Models that exceed the code ranges (> 255 distinct cuts
-// on one feature, > 65535 nodes in one tree, > 65535 features) silently
-// keep only the exact pool; quantized() reports availability and
-// quantize_note() the reason.
+// Every model that fits the bin-code ranges is served by a bin-code pool:
+// every distinct split threshold of each feature becomes an entry in a
+// sorted per-feature cut table, node thresholds shrink to the uint8 index
+// of their cut, and each input row is binned ONCE (uint8 code per feature
+// via a branchless chop over the cut table). Because the code of a value
+// v is exactly #{cuts < v}, the walk comparison `code(v) <= cut_index`
+// decides identically to `v <= threshold` — the pool is a lossless
+// re-encoding, not an approximation. The pool itself is relaid out for
+// the walk: each tree's nodes are renumbered in BFS order so an internal
+// node's two children always sit adjacent, and a node packs into ONE
+// word — 32 bits (uint8 feature | uint8 cut index | uint16 tree-local
+// index of the left child; right = left + 1) when the model has at most
+// 255 features, 64 bits with a uint16 feature field otherwise. A walk
+// step is then two loads — the node word and the row's code byte — plus
+// `next = child_base + (code > cut)`, versus five loads (feature,
+// threshold, left, right, row value) in the exact kernel, at 4 bytes per
+// hot node instead of 20. Leaves store cut = 255 (an impossible internal
+// cut index, since codes reach at most 255 and real cut indices at most
+// 254) with the child base pointing at themselves, so overshooting the
+// walk self-loops exactly like the exact pool. Leaf payloads live in a
+// parallel q_payload_ array in the same BFS order.
+//
+// Which engine serves is a property of the model, not a setting: compile()
+// builds the bin-code pool straight from the fitted trees whenever they fit
+// its code ranges, and the exact SoA pool only for models that do not
+// (> 255 distinct cuts on one feature — e.g. an exact-trained forest —,
+// > 65535 nodes in one tree, > 65535 features, or a deserialized node
+// graph that is not a tree). quantized() reports which engine serves and
+// quantize_note() why the bin-code pool was skipped. Every hist-trained
+// model fits.
+//
+// Single rows (the serve path) walk a group of kGroup trees in lock-step:
+// a tree walk is a chain of dependent loads, so walking one tree at a
+// time leaves the core waiting on one load per step, while sixteen
+// independent chains keep sixteen loads in flight. Each group runs for
+// its deepest tree's step count (leaves self-loop, so shallower trees
+// idle on their leaf) and its leaves are then added in boosting order,
+// so results stay bit-identical.
 //
 // Compile once at train/load time (CrossArchPredictor does); compilation
-// is cheap (one pass over the nodes) and the compiled form is immutable.
+// is one pass over the nodes plus the cut-table build, and the compiled
+// form is immutable.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -69,13 +83,6 @@ namespace mphpc::ml {
 class DecisionTree;
 class GbtRegressor;
 class RandomForest;
-
-/// Compile-time knobs for CompiledEnsemble. `quantize` asks for the uint8
-/// bin-code pool on top of the exact pool; when the model fits the code
-/// ranges the quantized pool serves every predict call (losslessly).
-struct CompileOptions {
-  bool quantize = false;
-};
 
 class CompiledEnsemble {
  public:
@@ -92,29 +99,27 @@ class CompiledEnsemble {
 
   /// Flattens a fitted model. The model can be dropped afterwards for
   /// inference-only serving; keep it for serialization or importances.
-  [[nodiscard]] static CompiledEnsemble compile(const GbtRegressor& model,
-                                               CompileOptions options = {});
-  [[nodiscard]] static CompiledEnsemble compile(const RandomForest& model,
-                                               CompileOptions options = {});
-  [[nodiscard]] static CompiledEnsemble compile(const DecisionTree& model,
-                                               CompileOptions options = {});
+  [[nodiscard]] static CompiledEnsemble compile(const GbtRegressor& model);
+  [[nodiscard]] static CompiledEnsemble compile(const RandomForest& model);
+  [[nodiscard]] static CompiledEnsemble compile(const DecisionTree& model);
 
   [[nodiscard]] bool compiled() const noexcept { return !roots_.empty(); }
   [[nodiscard]] std::size_t n_features() const noexcept { return n_features_; }
   [[nodiscard]] std::size_t n_outputs() const noexcept { return n_outputs_; }
-  [[nodiscard]] std::size_t n_nodes() const noexcept { return feature_.size(); }
+  [[nodiscard]] std::size_t n_nodes() const noexcept { return n_nodes_; }
 
-  /// True when the quantized pool was requested AND the model fit the
-  /// uint8/uint16 code ranges; predict paths then use bin codes.
+  /// True when the model fit the uint8/uint16 code ranges, so the bin-code
+  /// pool serves every predict call; false when the exact pool serves.
   [[nodiscard]] bool quantized() const noexcept { return quantized_; }
-  /// Human-readable reason when quantization was requested but skipped
-  /// (empty when quantized() or never requested).
+  /// Human-readable reason the bin-code pool was skipped (empty when
+  /// quantized()).
   [[nodiscard]] const std::string& quantize_note() const noexcept {
     return quantize_note_;
   }
 
   /// Batched prediction, bit-identical to the source model's predict().
-  /// `pool` distributes row chunks; results do not depend on it.
+  /// `pool` distributes row chunks; results do not depend on it. A batch
+  /// smaller than one lane group stays on the calling thread.
   [[nodiscard]] Matrix predict(const Matrix& x, ThreadPool* pool = nullptr) const;
 
   /// Single-row prediction into `out` (size n_outputs()). Uses a
@@ -132,6 +137,15 @@ class CompiledEnsemble {
   /// Rows per tile: big enough to amortize per-tree loop overhead, small
   /// enough that a tile's accumulators and one tree's hot nodes share L1.
   static constexpr std::size_t kTile = 512;
+  /// Rows per lock-step lane group in the tile kernels: enough independent
+  /// chains to saturate the load ports, few enough that lane state stays
+  /// in registers. Smaller batches take the single-row kernel.
+  static constexpr std::size_t kLanes = 8;
+  /// Trees per lock-step group in the single-row bin-code walk, chosen by
+  /// BM_GbtPredictRowServe on the Fig. 2 profile (1,600 depth-8 trees,
+  /// Release build, 4-vCPU AVX-512 host), median per row: 1 tree 58 us,
+  /// 8 trees 27-29 us, 16 trees 22 us, 32 trees 25 us.
+  static constexpr std::size_t kGroup = 16;
 
   void predict_tile(const Matrix& x, std::size_t lo, std::size_t hi,
                     Matrix& out) const;
@@ -145,32 +159,58 @@ class CompiledEnsemble {
   void walk_tile_quantized(const Word* pool, std::size_t lo, std::size_t hi,
                            Matrix& out, const std::uint8_t* codes) const;
 
-  /// Derives the per-feature cut tables and the uint8/uint16 pool from the
-  /// already-built exact pool; on range overflow leaves the engine exact
-  /// and records the reason. Called by compile() when options.quantize.
-  void build_quantized_pool();
+  /// Lays out every tree (flat node vectors, root at 0; `payload(leaf)`
+  /// gives a leaf's pool payload) into the bin-code pool when the model
+  /// fits its code ranges, into the exact pool otherwise. Every compile()
+  /// ends here.
+  template <typename Node, typename Payload>
+  void build_pools(const std::vector<const std::vector<Node>*>& trees,
+                   const Payload& payload);
+  /// Fills cuts_/cut_begin_ when the trees fit the bin-code ranges;
+  /// otherwise returns the reason they do not (empty when they fit).
+  template <typename Node>
+  [[nodiscard]] std::string build_cut_tables(
+      const std::vector<const std::vector<Node>*>& trees);
+  template <typename Node, typename Payload>
+  void build_bin_code_pool(const std::vector<const std::vector<Node>*>& trees,
+                           const Payload& payload);
+  template <typename Node, typename Payload>
+  void build_exact_pool(const std::vector<const std::vector<Node>*>& trees,
+                        const Payload& payload);
 
-  /// Bin-codes one row: codes[f] = #{cuts of feature f < x[f]}, so
-  /// `codes[f] <= cut_index` decides exactly like `x[f] <= threshold_`.
-  /// The search is a branchless binary chop (the advance is a masked add,
-  /// not a data-dependent jump): std::lower_bound mispredicts ~50% per
-  /// probe on real feature values, which costs as much as the tree walks
-  /// it feeds.
-  void bin_row(const double* xr, std::uint8_t* codes) const noexcept {
-    for (std::size_t f = 0; f < n_features_; ++f) {
-      const double* start = cuts_.data() + cut_begin_[f];
-      const double* base = start;
-      const double v = xr[f];
-      std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
-      while (n > 1) {
-        const std::size_t half = n / 2;
-        base += half & (0 - static_cast<std::size_t>(base[half - 1] < v));
-        n -= half;
-      }
-      const std::size_t below = n == 1 && base[0] < v ? 1 : 0;
-      codes[f] = static_cast<std::uint8_t>(
-          static_cast<std::size_t>(base - start) + below);
+  /// The single-row bin-code kernel: predicts one pre-binned row into
+  /// `out` (size n_outputs()), walking kGroup trees at a time.
+  template <typename Word>
+  void predict_codes_row(const Word* pool, const std::uint8_t* codes,
+                         double* out) const noexcept;
+  /// Walks trees [t, t + kGroup) in lock-step for one pre-binned row and
+  /// stores each tree's leaf as a GLOBAL pool index into q_payload_.
+  template <typename Word>
+  void walk_group(const Word* pool, std::size_t t, const std::uint8_t* codes,
+                  std::array<std::uint32_t, kGroup>& leaf) const noexcept;
+
+  /// Bin code of value `v` on feature `f`: #{cuts of f < v}, so
+  /// `code_of(f, x[f]) <= cut_index` decides exactly like `x[f] <=
+  /// threshold_`. The search is a branchless binary chop (the advance is a
+  /// masked add, not a data-dependent jump): std::lower_bound mispredicts
+  /// ~50% per probe on real feature values, which costs as much as the
+  /// tree walks it feeds.
+  [[nodiscard]] std::uint8_t code_of(std::size_t f, double v) const noexcept {
+    const double* start = cuts_.data() + cut_begin_[f];
+    const double* base = start;
+    std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base += half & (0 - static_cast<std::size_t>(base[half - 1] < v));
+      n -= half;
     }
+    const std::size_t below = n == 1 && base[0] < v ? 1 : 0;
+    return static_cast<std::uint8_t>(static_cast<std::size_t>(base - start) + below);
+  }
+
+  /// Bin-codes one row: codes[f] = code_of(f, xr[f]).
+  void bin_row(const double* xr, std::uint8_t* codes) const noexcept {
+    for (std::size_t f = 0; f < n_features_; ++f) codes[f] = code_of(f, xr[f]);
   }
 
   /// Walks one tree for one row: exactly `steps` branch-free iterations
@@ -211,26 +251,21 @@ class CompiledEnsemble {
   /// `origin` is the tree's pool offset (node words hold tree-local child
   /// indices so they fit uint16). Returns the leaf's GLOBAL pool index
   /// into q_payload_ (the quantized pool has its own BFS node order).
-  [[nodiscard]] std::int32_t qwalk(std::int32_t origin, std::int32_t steps,
-                                   const std::uint8_t* qr) const noexcept {
+  template <typename Word>
+  [[nodiscard]] static std::uint32_t qwalk(const Word* pool, std::int32_t origin,
+                                           std::int32_t steps,
+                                           const std::uint8_t* qr) noexcept {
+    const Word* qn = pool + static_cast<std::size_t>(origin);
     std::uint32_t local = 0;
-    if (!q_node32_.empty()) {
-      const std::uint32_t* qn =
-          q_node32_.data() + static_cast<std::size_t>(origin);
-      for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
-    } else {
-      const std::uint64_t* qn =
-          q_node64_.data() + static_cast<std::size_t>(origin);
-      for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
-    }
-    return origin + static_cast<std::int32_t>(local);
+    for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
+    return static_cast<std::uint32_t>(origin) + local;
   }
 
   Kind kind_ = Kind::kGbt;
-  // SoA node pool over every tree. Leaves are self-loops (left_ ==
-  // right_ == self, feature_ == 0) carrying their payload in threshold_:
-  // the scalar leaf weight for GBT, the offset of the leaf's value vector
-  // in values_ for forest/tree.
+  // Exact SoA node pool over every tree (built only when the bin-code pool
+  // is not). Leaves are self-loops (left_ == right_ == self, feature_ == 0)
+  // carrying their payload in threshold_: the scalar leaf weight for GBT,
+  // the offset of the leaf's value vector in values_ for forest/tree.
   std::vector<std::int32_t> feature_;
   std::vector<double> threshold_;
   std::vector<std::int32_t> left_;
@@ -247,20 +282,20 @@ class CompiledEnsemble {
   std::size_t value_width_ = 0;
   std::size_t n_features_ = 0;
   std::size_t n_outputs_ = 0;
+  std::size_t n_nodes_ = 0;
   double n_trees_ = 1.0;  ///< kForestMean: mean divisor (reference divides)
 
-  // Quantized pool (built only when CompileOptions::quantize and the model
-  // fits the code ranges). Trees keep their roots_ offsets but renumber
-  // nodes internally in BFS order with sibling children adjacent; each
-  // node packs into one word. Models with <= 255 features use q_node32_ —
-  // bits [0,8) feature, [8,16) cut index (255 marks a leaf), [16,32)
-  // TREE-LOCAL index of the left child (right child = left + 1; a leaf
-  // points at itself) — wider models use q_node64_ with the same shape at
-  // uint16 field widths (feature [0,16), cut [16,24), child [32,48)).
-  // Exactly one of the two is non-empty when quantized_. q_payload_
-  // mirrors the exact threshold_ payload in the BFS order: the scalar
-  // leaf weight for GBT, the values_ offset for forest/tree, 0 for
-  // internal nodes. Per-feature sorted distinct cut values live flat in
+  // Bin-code pool (built whenever the model fits the code ranges). Trees
+  // share the roots_ offsets with the exact layout but renumber their
+  // nodes in BFS order with sibling children adjacent; each node packs into
+  // one word. Models with <= 255 features use q_node32_ — bits [0,8)
+  // feature, [8,16) cut index (255 marks a leaf), [16,32) TREE-LOCAL index
+  // of the left child (right child = left + 1; a leaf points at itself) —
+  // wider models use q_node64_ with the same shape at uint16 field widths
+  // (feature [0,16), cut [16,24), child [32,48)). Exactly one of the two is
+  // non-empty when quantized_. q_payload_ holds, in the same BFS order, the
+  // scalar leaf weight for GBT, the values_ offset for forest/tree, and 0
+  // for internal nodes. Per-feature sorted distinct cut values live flat in
   // cuts_ with cut_begin_ offsets (size n_features_ + 1), exactly the
   // FeatureBins layout from hist training.
   bool quantized_ = false;

@@ -60,7 +60,6 @@ void ServeCore::bootstrap() {
   if (stored.has_value()) {
     generation_ = stored->generation;
     fingerprint_ = std::move(stored->fingerprint);
-    stored->predictor.set_quantized(options_.quantize);
     guard_ = core::GuardedPredictor(std::move(stored->predictor), options_.bounds);
     return;
   }
@@ -73,7 +72,6 @@ void ServeCore::bootstrap() {
   // Seed the store immediately so a SIGKILL before the first refit still
   // restarts from a persisted generation 0.
   core::CrossArchPredictor seeded = core::CrossArchPredictor::load(options_.model_path);
-  seeded.set_quantized(options_.quantize);
   generation_ = 0;
   fingerprint_ = store_.store(seeded, generation_);
   guard_ = core::GuardedPredictor(std::move(seeded), options_.bounds);
@@ -309,10 +307,6 @@ bool ServeCore::run_refit(ThreadPool* pool) {
   } else {
     next.warm_refit(x, y, options_.refit_rounds, pool);
   }
-  // A compaction rebuild comes back with default compile options; keep
-  // every published generation on the configured engine.
-  next.set_quantized(options_.quantize);
-
   // The fit can be long; prove the lease holder is still alive before
   // publishing so a slow refit isn't mistaken for a dead one.
   lease_.refresh();
@@ -362,7 +356,6 @@ bool ServeCore::follow_store() noexcept {
       generation_ = stored->generation;
       fingerprint_ = std::move(stored->fingerprint);
     }
-    stored->predictor.set_quantized(options_.quantize);
     guard_.swap_model(std::move(stored->predictor));
     reloads_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -446,9 +439,9 @@ std::string ServeCore::stats_reply(std::string_view id) {
   const auto snapshot = guard_.snapshot();
   w.field("model_rounds",
           snapshot == nullptr ? 0 : snapshot->model().rounds_completed());
-  // Which inference engine actually serves (quantize may be requested but
-  // skipped when a model exceeds the bin-code ranges).
-  w.field("quantized", snapshot != nullptr && snapshot->quantized());
+  // Which inference engine serves: the bin-code pool for every model that
+  // fits its code ranges, the exact pool otherwise.
+  w.field("quantized", snapshot != nullptr && snapshot->compiled().quantized());
   w.begin_object("counters");
   w.field("predicts", predicts_.load(std::memory_order_relaxed));
   w.field("feedbacks", feedbacks_.load(std::memory_order_relaxed));

@@ -47,11 +47,6 @@ namespace mphpc::serve {
 struct ServeOptions {
   std::string state_dir;   ///< required: model store lives here
   std::string model_path;  ///< bootstrap model when the store is empty
-  /// Serve through the quantized bin-code inference engine (losslessly
-  /// recompiled at bootstrap and after every refit/reload; models that
-  /// exceed the code ranges keep the exact engine). Stats report which
-  /// engine actually serves.
-  bool quantize = false;
   core::RpvGuardOptions bounds{};
   DriftOptions drift{};
   std::size_t drift_max_apps = 64;   ///< per-app drift LRU bound (0 = global-only)

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdio>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -271,6 +273,46 @@ TEST_F(EndToEnd, TrainResumeRejectsForeignCheckpoint) {
                std::runtime_error);
   std::filesystem::remove(ckpt_path);
   std::filesystem::remove(ckpt_path + ".manifest");
+}
+
+struct CliResult {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr together
+};
+
+/// Runs the mphpc binary with `args` and collects its exit code and output.
+CliResult run_cli(const std::string& args) {
+  const std::string command = std::string(MPHPC_CLI_BIN) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  CliResult result;
+  if (pipe == nullptr) return result;
+  std::array<char, 256> buffer{};
+  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
+    result.output += buffer.data();
+  }
+  const int status = ::pclose(pipe);
+  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
+TEST(Cli, RejectsUnknownFlagsAndMalformedNumbers) {
+  // Each line must fail in argument parsing (exit 2, naming the flag)
+  // before any dataset is built or daemon started.
+  const std::pair<const char*, const char*> cases[] = {
+      {"train --round 50", "--round"},           // typo of --rounds
+      {"train --rounds abc", "--rounds"},        // not a number
+      {"train --rounds 50x", "--rounds"},        // trailing garbage
+      {"sched-scale --kill-prob 0.5.1", "--kill-prob"},
+      {"train --out", "--out"},                  // missing value
+      {"evaluate --checkpoint-every 2", "--checkpoint-every"},  // train-only
+      {"train --tree-method exact", "--tree-method"},  // removed: GBT is hist
+      {"serve --state-dir unused --quantize", "--quantize"},  // removed knob
+  };
+  for (const auto& [args, flag] : cases) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos) << args << "\n" << r.output;
+  }
 }
 
 }  // namespace

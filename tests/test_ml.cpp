@@ -928,9 +928,16 @@ void expect_row_parity(const CompiledEnsemble& compiled, const Matrix& x,
 
 TEST(CompiledParity, GbtExactBitIdentical) {
   const Problem p = make_problem(300, 0.3, 50);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kExact));
+  // Enough exact-greedy rounds mint more than 255 midpoint thresholds on a
+  // feature, so this case holds the exact pool, not the bin-code pool, to
+  // parity.
+  GbtOptions options = gbt_with(GbtTreeMethod::kExact);
+  options.n_rounds = 80;
+  options.max_depth = 6;
+  GbtRegressor model(options);
   model.fit(p.x, p.y);
   const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_FALSE(compiled.quantized());
   const Matrix reference = model.predict(p.x);
   expect_matrices_identical(compiled.predict(p.x), reference);
   expect_row_parity(compiled, p.x, reference);
@@ -938,24 +945,43 @@ TEST(CompiledParity, GbtExactBitIdentical) {
 
 TEST(CompiledParity, GbtHistBitIdentical) {
   const Problem p = make_problem(300, 0.3, 51);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
+  // The single-row kernel walks trees in groups of 16: tree counts below,
+  // just past and far from a multiple of the group exercise the tail walk.
+  // Batches of 1..9 rows cover the calling-thread small-batch path and a
+  // tile remainder behind one full lane group.
+  for (const int rounds : {40, 1, 15, 17, 401}) {
+    GbtOptions options = gbt_with(GbtTreeMethod::kHist);
+    options.n_rounds = rounds;
+    GbtRegressor model(options);
+    model.fit(p.x, p.y);
+    const auto compiled = CompiledEnsemble::compile(model);
+    ASSERT_TRUE(compiled.quantized()) << "rounds=" << rounds;
+    const Matrix reference = model.predict(p.x);
+    expect_matrices_identical(compiled.predict(p.x), reference);
+    expect_row_parity(compiled, p.x, reference);
+    ThreadPool pool(2);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      const Matrix head = p.x.select_rows(std::vector<std::size_t>(n, 7));
+      expect_matrices_identical(compiled.predict(head, &pool), model.predict(head));
+    }
+  }
 }
 
 TEST(CompiledParity, RandomForestBitIdentical) {
   const Problem p = make_problem(300, 0.3, 52);
   for (const TreeMethod method : {TreeMethod::kExact, TreeMethod::kHist}) {
-    ForestOptions options;
-    options.n_trees = 15;
-    options.method = method;
-    RandomForest model(options);
-    model.fit(p.x, p.y);
-    const auto compiled = CompiledEnsemble::compile(model);
-    const Matrix reference = model.predict(p.x);
-    expect_matrices_identical(compiled.predict(p.x), reference);
-    expect_row_parity(compiled, p.x, reference);
+    // 33 trees: two full 16-tree groups plus a tail in the row kernel.
+    for (const int n_trees : {15, 33}) {
+      ForestOptions options;
+      options.n_trees = n_trees;
+      options.method = method;
+      RandomForest model(options);
+      model.fit(p.x, p.y);
+      const auto compiled = CompiledEnsemble::compile(model);
+      const Matrix reference = model.predict(p.x);
+      expect_matrices_identical(compiled.predict(p.x), reference);
+      expect_row_parity(compiled, p.x, reference);
+    }
   }
 }
 
@@ -1004,91 +1030,41 @@ TEST(CompiledParity, SerializedModelRecompilesIdentically) {
 }
 
 TEST(CompiledParity, DeterministicAcrossThreadCounts) {
+  // 700 rows span two 512-row tiles. The hist model gets the bin-code pool;
+  // the 80-round exact model overflows the uint8 cut range, so its tiles
+  // and pool chunks run through the exact pool.
   const Problem p = make_problem(700, 0.3, 57);
-  GbtRegressor model(small_gbt());
-  model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x, nullptr), reference);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    expect_matrices_identical(compiled.predict(p.x, &pool), reference);
-  }
-}
-
-// ---------------------------------------------- quantized bin-code parity ----
-//
-// The quantized engine gates on two properties (the exact engine keeps its
-// bit-identity gate above): quantized-vs-exact RMSE within 1% of the
-// prediction scale on arbitrary rows, and bit-identity on rows whose
-// feature values sit exactly on (or adjacent to) the fitted cut values.
-// The current cut-table scheme is lossless, so it passes both trivially;
-// the tests assert only the contract so a future lossy quantizer (e.g.
-// coarser re-binning) still has a green gate to hit.
-
-/// RMS magnitude of a prediction matrix, the scale for the 1% RMSE gate.
-double rms_scale(const Matrix& m) {
-  return root_mean_squared_error(m, Matrix(m.rows(), m.cols()));
-}
-
-void expect_rmse_parity(const Matrix& exact, const Matrix& quantized) {
-  ASSERT_EQ(exact.rows(), quantized.rows());
-  ASSERT_EQ(exact.cols(), quantized.cols());
-  EXPECT_LE(root_mean_squared_error(exact, quantized),
-            0.01 * rms_scale(exact) + 1e-12);
-}
-
-TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
-  const Problem p = make_problem(300, 0.3, 60);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  EXPECT_TRUE(quantized.quantize_note().empty());
-  const auto exact = CompiledEnsemble::compile(model);
-  EXPECT_FALSE(exact.quantized());
-  const Problem held = make_problem(200, 0.3, 61);
-  expect_rmse_parity(exact.predict(held.x), quantized.predict(held.x));
-  expect_row_parity(quantized, held.x, quantized.predict(held.x));
-}
-
-TEST(QuantizedParity, FuzzRandomEnsemblesRandomRows) {
-  // Random ensembles x random rows (deliberately outside the training
-  // range): the RMSE-parity gate must hold for every shape.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    GbtOptions options = small_gbt();
-    options.n_rounds = 8 + static_cast<int>(seed) * 11;
-    options.max_depth = 2 + static_cast<int>(seed % 4);
-    options.tree_method =
-        seed % 2 == 0 ? GbtTreeMethod::kHist : GbtTreeMethod::kExact;
-    const Problem p = make_problem(250, 0.4, 62 + seed);
-    GbtRegressor model(options);
-    model.fit(p.x, p.y);
-    Rng rng(100 + seed);
-    Matrix rows(150, 3);
-    for (double& v : rows.flat()) v = -0.5 + 2.0 * rng.uniform();
-    const auto exact = CompiledEnsemble::compile(model);
-    const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-    if (options.tree_method == GbtTreeMethod::kHist) {
-      // Hist training draws every threshold from <= max_bins bin edges,
-      // so the quantized pool must always be available. Exact training
-      // mints fresh midpoints every round and may legitimately overflow
-      // the uint8 cut range — then the exact pool serves and the parity
-      // check below still must hold.
-      ASSERT_TRUE(quantized.quantized()) << quantized.quantize_note();
+  GbtRegressor hist(small_gbt());
+  GbtOptions wide_options = gbt_with(GbtTreeMethod::kExact);
+  wide_options.n_rounds = 80;
+  wide_options.max_depth = 6;
+  GbtRegressor wide(wide_options);
+  for (GbtRegressor* model : {&hist, &wide}) {
+    model->fit(p.x, p.y);
+    const auto compiled = CompiledEnsemble::compile(*model);
+    ASSERT_EQ(compiled.quantized(), model == &hist);
+    const Matrix reference = model->predict(p.x);
+    expect_matrices_identical(compiled.predict(p.x, nullptr), reference);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      expect_matrices_identical(compiled.predict(p.x, &pool), reference);
     }
-    expect_rmse_parity(exact.predict(rows), quantized.predict(rows));
   }
 }
 
-TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
-  // Rows whose feature values are the fitted thresholds themselves (and
-  // their immediate double neighbours — the hardest boundary cases) must
-  // predict bit-identically to the exact engine.
-  const Problem p = make_problem(300, 0.3, 64);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  std::vector<double> base(p.x.row(0).begin(), p.x.row(0).end());
+// ---------------------------------------------- bin-code engine parity ----
+//
+// Every model that fits the bin-code ranges is served by the bin-code pool,
+// and its exact SoA arrays are freed, so these tests hold that engine to
+// bit-identity with the reference walkers (GbtRegressor::predict and
+// friends) on arbitrary rows, on rows sitting exactly on the fitted cut
+// values, and on ensembles whose trees differ wildly in depth.
+
+/// Rows equal to row 0 of `x` except that one feature sits exactly on a
+/// fitted threshold or on its immediate double neighbours — the hardest
+/// boundary cases for the `code(v) <= cut` comparison.
+Matrix threshold_rows(const GbtRegressor& model, const Matrix& x) {
+  const std::vector<double> base(x.row(0).begin(), x.row(0).end());
   std::vector<double> flat;
   for (std::size_t k = 0; k < model.n_outputs(); ++k) {
     for (const GbtTree& tree : model.ensemble(k)) {
@@ -1105,19 +1081,82 @@ TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
       }
     }
   }
-  const std::size_t n_rows = flat.size() / 3;
-  const Matrix rows(n_rows, 3, std::move(flat));
-  const auto exact = CompiledEnsemble::compile(model);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  expect_matrices_identical(exact.predict(rows), quantized.predict(rows));
+  const std::size_t n_rows = flat.size() / x.cols();
+  return Matrix(n_rows, x.cols(), std::move(flat));
+}
+
+std::size_t total_nodes(const GbtRegressor& model) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
+    for (const GbtTree& tree : model.ensemble(k)) n += tree.nodes.size();
+  }
+  return n;
+}
+
+TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
+  const Problem p = make_problem(300, 0.3, 60);
+  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  model.fit(p.x, p.y);
+  const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_TRUE(compiled.quantized());
+  EXPECT_TRUE(compiled.quantize_note().empty());
+  // The exact arrays are gone, but the engine still reports every node.
+  EXPECT_EQ(compiled.n_nodes(), total_nodes(model));
+  const Problem held = make_problem(200, 0.3, 61);
+  const Matrix reference = model.predict(held.x);
+  expect_matrices_identical(compiled.predict(held.x), reference);
+  expect_row_parity(compiled, held.x, reference);
+}
+
+TEST(QuantizedParity, FuzzRandomEnsemblesRandomRows) {
+  // Random ensembles x random rows (deliberately outside the training
+  // range): whichever engine the model gets must match the reference.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    GbtOptions options = small_gbt();
+    options.n_rounds = 8 + static_cast<int>(seed) * 11;
+    options.max_depth = 2 + static_cast<int>(seed % 4);
+    options.tree_method =
+        seed % 2 == 0 ? GbtTreeMethod::kHist : GbtTreeMethod::kExact;
+    const Problem p = make_problem(250, 0.4, 62 + seed);
+    GbtRegressor model(options);
+    model.fit(p.x, p.y);
+    Rng rng(100 + seed);
+    Matrix rows(150, 3);
+    for (double& v : rows.flat()) v = -0.5 + 2.0 * rng.uniform();
+    const auto compiled = CompiledEnsemble::compile(model);
+    if (options.tree_method == GbtTreeMethod::kHist) {
+      // Hist training draws every threshold from <= max_bins bin edges,
+      // so the bin-code pool must always serve. Exact training mints
+      // fresh midpoints every round and may legitimately overflow the
+      // uint8 cut range — then the exact pool serves.
+      ASSERT_TRUE(compiled.quantized()) << compiled.quantize_note();
+    }
+    const Matrix reference = model.predict(rows);
+    expect_matrices_identical(compiled.predict(rows), reference);
+    expect_row_parity(compiled, rows, reference);
+  }
+}
+
+TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
+  // Rows whose feature values are the fitted thresholds themselves (and
+  // their immediate double neighbours) must predict bit-identically to
+  // the reference walker, batched and one row at a time.
+  const Problem p = make_problem(300, 0.3, 64);
+  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  model.fit(p.x, p.y);
+  const Matrix rows = threshold_rows(model, p.x);
+  const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_TRUE(compiled.quantized());
+  const Matrix reference = model.predict(rows);
+  expect_matrices_identical(compiled.predict(rows), reference);
+  expect_row_parity(compiled, rows, reference);
 }
 
 TEST(QuantizedParity, DeterministicAcrossThreadCounts) {
   const Problem p = make_problem(700, 0.3, 65);
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
   model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
+  const auto quantized = CompiledEnsemble::compile(model);
   ASSERT_TRUE(quantized.quantized());
   const Matrix reference = quantized.predict(p.x, nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -1131,8 +1170,8 @@ TEST(QuantizedParity, SerializedModelRecompilesQuantizedIdentically) {
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
   model.fit(p.x, p.y);
   const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
-  const auto a = CompiledEnsemble::compile(model, {.quantize = true});
-  const auto b = CompiledEnsemble::compile(restored, {.quantize = true});
+  const auto a = CompiledEnsemble::compile(model);
+  const auto b = CompiledEnsemble::compile(restored);
   ASSERT_TRUE(a.quantized());
   ASSERT_TRUE(b.quantized());
   expect_matrices_identical(a.predict(p.x), b.predict(p.x));
@@ -1142,7 +1181,7 @@ TEST(QuantizedParity, RowScratchReuseMatchesBatch) {
   const Problem p = make_problem(200, 0.3, 67);
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
   model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
+  const auto quantized = CompiledEnsemble::compile(model);
   ASSERT_TRUE(quantized.quantized());
   const Matrix batch = quantized.predict(p.x);
   CompiledEnsemble::RowScratch scratch;  // reused across every row
@@ -1162,7 +1201,7 @@ TEST(QuantizedParity, DegenerateModels) {
   stump_options.max_depth = 1;
   DecisionTree stump(stump_options);
   stump.fit(p.x, p.y);
-  const auto qstump = CompiledEnsemble::compile(stump, {.quantize = true});
+  const auto qstump = CompiledEnsemble::compile(stump);
   ASSERT_TRUE(qstump.quantized());
   expect_matrices_identical(qstump.predict(p.x), stump.predict(p.x));
 
@@ -1171,7 +1210,7 @@ TEST(QuantizedParity, DegenerateModels) {
   for (double& v : constant_y.flat()) v = 2.75;
   GbtRegressor leaf_gbt(small_gbt());
   leaf_gbt.fit(p.x, constant_y);
-  const auto qleaf = CompiledEnsemble::compile(leaf_gbt, {.quantize = true});
+  const auto qleaf = CompiledEnsemble::compile(leaf_gbt);
   ASSERT_TRUE(qleaf.quantized());
   expect_matrices_identical(qleaf.predict(p.x), leaf_gbt.predict(p.x));
 
@@ -1180,9 +1219,42 @@ TEST(QuantizedParity, DegenerateModels) {
   for (std::size_t r = 0; r < x.rows(); ++r) x(r, 2) = 1.5;
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
   model.fit(x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
+  const auto quantized = CompiledEnsemble::compile(model);
   ASSERT_TRUE(quantized.quantized());
   expect_matrices_identical(quantized.predict(x), model.predict(x));
+
+  // Mixed tree depths inside one 16-tree group: depth-8 trees, then
+  // stumps, then single leaves (no split can meet the child weight), then
+  // depth-8 again. A group walks as long as its deepest tree, so the
+  // shallow trees must park on their leaves; rows on the cut values probe
+  // every boundary.
+  GbtOptions deep = gbt_with(GbtTreeMethod::kHist);
+  deep.max_depth = 8;
+  deep.n_rounds = 7;
+  GbtRegressor mixed(deep);
+  mixed.fit(p.x, p.y);
+  GbtOptions stumps = mixed.options();
+  stumps.max_depth = 1;
+  mixed.set_options(stumps);
+  mixed.warm_start_fit(p.x, p.y, 5);
+  GbtOptions leaves = mixed.options();
+  leaves.min_child_weight = 1e12;
+  mixed.set_options(leaves);
+  mixed.warm_start_fit(p.x, p.y, 3);
+  GbtOptions deep_again = mixed.options();
+  deep_again.max_depth = 8;
+  deep_again.min_child_weight = deep.min_child_weight;
+  mixed.set_options(deep_again);
+  mixed.warm_start_fit(p.x, p.y, 6);
+  ASSERT_EQ(mixed.rounds_completed(), 21);
+  EXPECT_EQ(mixed.ensemble(0)[13].nodes.size(), 1u);  // a single leaf
+  const auto qmixed = CompiledEnsemble::compile(mixed);
+  ASSERT_TRUE(qmixed.quantized());
+  for (const Matrix& rows : {p.x, threshold_rows(mixed, p.x)}) {
+    const Matrix reference = mixed.predict(rows);
+    expect_matrices_identical(qmixed.predict(rows), reference);
+    expect_row_parity(qmixed, rows, reference);
+  }
 }
 
 TEST(QuantizedParity, WideModelFallsBackToExact) {
@@ -1190,17 +1262,49 @@ TEST(QuantizedParity, WideModelFallsBackToExact) {
   // residuals move, so the chosen splits move): enough rounds on enough
   // rows exceed 255 distinct cuts on a feature. The engine must keep
   // serving bit-identically (via the exact pool) and say why it skipped
-  // quantization.
+  // the bin-code pool. An exact-trained forest overflows the same way.
   const Problem p = make_problem(400, 0.4, 69);
   GbtOptions options = gbt_with(GbtTreeMethod::kExact);
   options.n_rounds = 80;
   options.max_depth = 6;
   GbtRegressor model(options);
   model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model, {.quantize = true});
+  const auto compiled = CompiledEnsemble::compile(model);
   EXPECT_FALSE(compiled.quantized());
   EXPECT_FALSE(compiled.quantize_note().empty());
-  expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
+  EXPECT_EQ(compiled.n_nodes(), total_nodes(model));
+  const Matrix reference = model.predict(p.x);
+  expect_matrices_identical(compiled.predict(p.x), reference);
+  expect_row_parity(compiled, p.x, reference);
+
+  ForestOptions forest_options;
+  forest_options.n_trees = 20;
+  forest_options.method = TreeMethod::kExact;
+  RandomForest forest(forest_options);
+  forest.fit(p.x, p.y);
+  const auto compiled_forest = CompiledEnsemble::compile(forest);
+  EXPECT_FALSE(compiled_forest.quantized());
+  const Matrix forest_reference = forest.predict(p.x);
+  expect_matrices_identical(compiled_forest.predict(p.x), forest_reference);
+  expect_row_parity(compiled_forest, p.x, forest_reference);
+
+  // A model file may hold a node graph that is not a tree: here two parents
+  // share both leaves. Loading accepts it (links point forward and stay in
+  // range) and the reference walker follows it, but the bin-code pool's BFS
+  // layout cannot, so the exact pool serves. A second tree after it would
+  // land at the wrong offset if the layout went ahead anyway.
+  const GbtRegressor shared = GbtRegressor::deserialize(
+      "gbt 1 1\nbase 0.5\nimportance_gain 0\nimportance_count 0\n"
+      "tree 0 5\n0 0.5 1 2 0\n0 0.25 3 4 0\n0 0.75 3 4 0\n"
+      "-1 0 -1 -1 1.5\n-1 0 -1 -1 -2\n"
+      "tree 0 1\n-1 0 -1 -1 0.25\n");
+  const auto compiled_shared = CompiledEnsemble::compile(shared);
+  EXPECT_FALSE(compiled_shared.quantized());
+  EXPECT_FALSE(compiled_shared.quantize_note().empty());
+  const Matrix probe(4, 1, {0.1, 0.3, 0.6, 0.9});
+  const Matrix shared_reference = shared.predict(probe);
+  expect_matrices_identical(compiled_shared.predict(probe), shared_reference);
+  expect_row_parity(compiled_shared, probe, shared_reference);
 }
 
 // Parameterized noise sweep: learned models should always beat the mean

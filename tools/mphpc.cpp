@@ -2,10 +2,9 @@
 //
 //   mphpc dataset  [--inputs N] [--campaign-dir DIR] [--out FILE.csv]
 //   mphpc train    [--inputs N] [--out MODEL] [--rounds N] [--depth N] [--bins B]
-//                  [--tree-method exact|hist] [--quantize]
 //                  [--checkpoint-every K] [--resume]
 //                  (checkpointed runs default --campaign-dir to MODEL.campaign)
-//   mphpc evaluate [--inputs N] [--model MODEL] [--quantize]
+//   mphpc evaluate [--inputs N] [--model MODEL]
 //   mphpc predict  --app NAME [--system SYS] [--scale 1core|1node|2node]
 //                  [--model MODEL]
 //   mphpc schedule [--jobs N] [--inputs N] [--strategy all|rr|random|user|model|oracle]
@@ -17,30 +16,36 @@
 //   mphpc sched-scale [--jobs N] [--depth D] [--arrival-rate R]
 //                  [--node-mtbf-h H] [--mttr-h H] [--kill-prob P]
 //                  [--max-attempts K] [--seed S] [--out FILE.json]
-//   mphpc serve    --state-dir DIR [--model MODEL] [--quantize] [--socket PATH]
+//   mphpc serve    --state-dir DIR [--model MODEL] [--socket PATH]
 //                  [--refit-every K] [--drift-window N] [--trip-mae X]
 //                  [--recover-mae X] [--queue-cap N] [--batch-max N]
 //                  [--deadline-ms MS] [--threads N]
 //
 // Every command is deterministic for a given set of flags (serve excepted:
-// it reacts to whatever requests arrive).
+// it reacts to whatever requests arrive). Each command accepts only its own
+// flags: an unknown flag, a missing value or a malformed number exits 2
+// with a message naming the flag, before any work starts. GBT models always
+// train with histogram split search.
 //
 // The long-running commands (train --checkpoint-every, sched-scale, serve)
 // install the ShutdownLatch: SIGINT/SIGTERM flushes their on-disk state at
 // the next natural boundary and exits 128+signal, so wrappers can tell
 // "interrupted but resumable" apart from failure.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -72,19 +77,61 @@ namespace {
 
 using namespace mphpc;
 
-/// Minimal `--flag value` parser; flags without a value are "true".
+/// What a flag's value must look like; kBool flags take no value.
+enum class FlagKind : std::uint8_t { kBool, kInt, kDouble, kText };
+
+struct Flag {
+  std::string_view name;  ///< without the leading "--"
+  FlagKind kind;
+};
+
+/// A command line the subcommand cannot accept; main() exits 2 on it.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses all of `text` as a T, or throws UsageError naming `--name`.
+template <typename T>
+T parse_number(std::string_view name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw UsageError("--" + std::string(name) + ": '" + text +
+                     "' is not a valid number");
+  }
+  return value;
+}
+
+/// `--flag value` parser checked against one subcommand's flag list:
+/// unknown flags, stray arguments, missing values and malformed numbers
+/// throw UsageError up front, so get_int/get_double never see bad text.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
+  Args(std::span<char* const> argv, std::span<const Flag> known) {
+    for (std::size_t i = 0; i < argv.size(); ++i) {
+      const std::string_view arg = argv[i];
+      if (!arg.starts_with("--")) {
+        throw UsageError("unexpected argument '" + std::string(arg) + "'");
       }
+      const std::string_view name = arg.substr(2);
+      const auto flag = std::find_if(known.begin(), known.end(),
+                                     [&](const Flag& f) { return f.name == name; });
+      if (flag == known.end()) {
+        throw UsageError("unknown flag --" + std::string(name));
+      }
+      if (flag->kind == FlagKind::kBool) {
+        values_[std::string(name)] = "true";
+        continue;
+      }
+      if (i + 1 == argv.size() || std::string_view(argv[i + 1]).starts_with("--")) {
+        throw UsageError("--" + std::string(name) + " needs a value");
+      }
+      std::string value = argv[++i];
+      if (flag->kind == FlagKind::kInt) (void)parse_number<int>(name, value);
+      if (flag->kind == FlagKind::kDouble) (void)parse_number<double>(name, value);
+      values_[std::string(name)] = std::move(value);
     }
   }
 
@@ -95,11 +142,11 @@ class Args {
   }
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return it == values_.end() ? fallback : parse_number<int>(key, it->second);
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return it == values_.end() ? fallback : parse_number<double>(key, it->second);
   }
   [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -127,16 +174,6 @@ core::CrossArchPredictor::Options predictor_options(const Args& args) {
   options.gbt.n_rounds = args.get_int("rounds", 200);
   options.gbt.max_depth = args.get_int("depth", 7);
   options.gbt.max_bins = args.get_int("bins", options.gbt.max_bins);
-  const std::string method = args.get("tree-method", "exact");
-  if (method == "hist") {
-    options.gbt.tree_method = ml::TreeMethod::kHist;
-  } else if (method != "exact") {
-    throw std::runtime_error("unknown --tree-method '" + method +
-                             "' (exact|hist)");
-  }
-  // Serving-side knob: the model text is identical either way, only the
-  // compiled inference engine changes (losslessly; see CompileOptions).
-  options.quantize = args.has("quantize");
   return options;
 }
 
@@ -161,7 +198,7 @@ int cmd_dataset(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  const auto options = predictor_options(args);  // validates flags up front
+  const auto options = predictor_options(args);
   const std::string out = args.get("out", "mphpc_model.txt");
   const int every = args.get_int("checkpoint-every", 0);
   const bool resume = args.has("resume");
@@ -215,8 +252,7 @@ int cmd_evaluate(const Args& args) {
 
   core::EvalMetrics metrics;
   if (args.has("model")) {
-    auto predictor = core::CrossArchPredictor::load(args.get("model", ""));
-    predictor.set_quantized(args.has("quantize"));
+    const auto predictor = core::CrossArchPredictor::load(args.get("model", ""));
     metrics = core::evaluate(y_test, predictor.predict(x_test));
   } else {
     const auto options = predictor_options(args);
@@ -769,7 +805,6 @@ int cmd_serve(const Args& args) {
   }
   std::filesystem::create_directories(core_options.state_dir);
   core_options.model_path = args.get("model", "");
-  core_options.quantize = args.has("quantize");
   core_options.drift.window = static_cast<std::size_t>(args.get_int(
       "drift-window", static_cast<int>(core_options.drift.window)));
   core_options.drift.trip_mae =
@@ -866,12 +901,11 @@ void usage() {
       "mphpc — cross-architecture performance prediction toolkit\n\n"
       "  mphpc dataset  [--inputs N] [--campaign-dir DIR] [--out FILE.csv]\n"
       "  mphpc train    [--inputs N] [--rounds N] [--depth N] [--bins B]\n"
-      "                 [--tree-method exact|hist] [--quantize]\n"
       "                 [--checkpoint-every K] [--resume] [--out MODEL]\n"
       "                 (checkpointed runs cache the campaign in MODEL.campaign\n"
       "                  unless --campaign-dir is given)\n"
-      "  mphpc evaluate [--inputs N] [--model MODEL] [--tree-method exact|hist]\n"
-      "                 [--quantize]\n"
+      "  mphpc evaluate [--inputs N] [--model MODEL] [--rounds N] [--depth N]\n"
+      "                 [--bins B]\n"
       "  mphpc predict  --app NAME [--system SYS] [--scale 1core|1node|2node]\n"
       "                 [--model MODEL]\n"
       "  mphpc schedule [--jobs N] [--strategy all|rr|random|user|model|oracle]\n"
@@ -883,18 +917,83 @@ void usage() {
       "  mphpc sched-scale [--jobs N] [--depth D] [--arrival-rate R]\n"
       "                 [--node-mtbf-h H] [--mttr-h H] [--kill-prob P]\n"
       "                 [--max-attempts K] [--seed S] [--out FILE.json]\n"
-      "  mphpc serve    --state-dir DIR [--model MODEL] [--quantize]\n"
-      "                 [--socket PATH]\n"
+      "  mphpc serve    --state-dir DIR [--model MODEL] [--socket PATH]\n"
       "                 [--workers N] [--restart-max K] [--restart-base-delay-s S]\n"
       "                 [--restart-max-delay-s S] [--heartbeat-timeout-s S]\n"
-      "                 [--store-poll-s S] [--refit-every K] [--refit-rounds R]\n"
+      "                 [--store-poll-s S] [--seed S] [--refit-every K]\n"
+      "                 [--refit-rounds R] [--min-refit-rows N] [--max-model-rounds N]\n"
+      "                 [--cold-rounds N]\n"
       "                 [--drift-window N] [--drift-max-apps N] [--drift-app-window N]\n"
       "                 [--trip-mae X] [--recover-mae X] [--window-capacity N]\n"
       "                 [--queue-cap N] [--batch-max N] [--deadline-ms MS]\n"
       "                 [--threads N]\n"
       "                 (JSONL protocol on the socket, or stdin/stdout when\n"
       "                  --socket is omitted; --workers N > 1 runs a supervised\n"
-      "                  crash-recovering fleet and requires --socket)\n");
+      "                  crash-recovering fleet and requires --socket)\n\n"
+      "Every command that builds a dataset takes --inputs N and --campaign-dir DIR;\n"
+      "every command that trains a model takes --rounds N, --depth N and --bins B.\n"
+      "Unknown flags and malformed numbers exit 2.\n");
+}
+
+/// A subcommand and the flags it accepts.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+};
+
+/// A command's own flags plus any shared flag groups it accepts.
+std::vector<Flag> flags(std::initializer_list<Flag> own,
+                        std::initializer_list<std::span<const Flag>> groups = {}) {
+  std::vector<Flag> out(own);
+  for (const auto group : groups) out.insert(out.end(), group.begin(), group.end());
+  return out;
+}
+
+const std::vector<Command>& commands() {
+  using K = FlagKind;
+  static constexpr Flag kDataset[] = {{"inputs", K::kInt}, {"campaign-dir", K::kText}};
+  static constexpr Flag kModel[] = {
+      {"rounds", K::kInt}, {"depth", K::kInt}, {"bins", K::kInt}};
+  static constexpr Flag kFaults[] = {{"jobs", K::kInt},       {"node-mtbf-h", K::kDouble},
+                                     {"mttr-h", K::kDouble},  {"kill-prob", K::kDouble},
+                                     {"max-attempts", K::kInt}, {"seed", K::kInt},
+                                     {"out", K::kText}};
+  static const std::vector<Command> all = {
+      {"dataset", cmd_dataset, flags({{"out", K::kText}}, {kDataset})},
+      {"train", cmd_train,
+       flags({{"out", K::kText}, {"checkpoint-every", K::kInt}, {"resume", K::kBool}},
+             {kDataset, kModel})},
+      {"evaluate", cmd_evaluate, flags({{"model", K::kText}}, {kDataset, kModel})},
+      {"predict", cmd_predict,
+       flags({{"app", K::kText}, {"system", K::kText}, {"scale", K::kText},
+              {"model", K::kText}},
+             {kDataset, kModel})},
+      {"schedule", cmd_schedule,
+       flags({{"jobs", K::kInt}, {"strategy", K::kText}}, {kDataset, kModel})},
+      {"sched-faults", cmd_sched_faults,
+       flags({{"checkpoint-overhead-s", K::kDouble}, {"checkpoint-interval-s", K::kDouble},
+              {"swf", K::kText}, {"swf-procs-per-node", K::kInt},
+              {"swf-max-nodes", K::kInt}},
+             {kDataset, kModel, kFaults})},
+      {"sched-scale", cmd_sched_scale,
+       flags({{"depth", K::kInt}, {"arrival-rate", K::kDouble}}, {kDataset, kFaults})},
+      {"serve", cmd_serve,
+       flags({{"state-dir", K::kText},          {"model", K::kText},
+              {"socket", K::kText},             {"drift-window", K::kInt},
+              {"trip-mae", K::kDouble},         {"recover-mae", K::kDouble},
+              {"window-capacity", K::kInt},     {"refit-every", K::kInt},
+              {"min-refit-rows", K::kInt},      {"refit-rounds", K::kInt},
+              {"max-model-rounds", K::kInt},    {"cold-rounds", K::kInt},
+              {"drift-max-apps", K::kInt},      {"drift-app-window", K::kInt},
+              {"queue-cap", K::kInt},           {"batch-max", K::kInt},
+              {"deadline-ms", K::kInt},         {"threads", K::kInt},
+              {"workers", K::kInt},             {"restart-max", K::kInt},
+              {"restart-base-delay-s", K::kDouble}, {"restart-max-delay-s", K::kDouble},
+              {"heartbeat-timeout-s", K::kDouble},  {"seed", K::kInt},
+              {"store-poll-s", K::kDouble}})},
+  };
+  return all;
 }
 
 }  // namespace
@@ -904,21 +1003,24 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
+  const std::string_view name = argv[1];
+  const auto& all = commands();
+  const auto command = std::find_if(all.begin(), all.end(),
+                                    [&](const Command& c) { return c.name == name; });
+  if (command == all.end()) {
+    usage();
+    return 2;
+  }
   try {
-    if (command == "dataset") return cmd_dataset(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "predict") return cmd_predict(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "sched-faults") return cmd_sched_faults(args);
-    if (command == "sched-scale") return cmd_sched_scale(args);
-    if (command == "serve") return cmd_serve(args);
+    const Args args(std::span<char* const>(argv + 2, static_cast<std::size_t>(argc - 2)),
+                    command->flags);
+    return command->run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "mphpc %s: %s (run mphpc without arguments for usage)\n",
+                 argv[1], e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
