@@ -1,6 +1,7 @@
 #include "ml/binning.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/contract.hpp"
 
@@ -79,6 +80,10 @@ BinnedMatrix BinnedMatrix::build(const Matrix& x, int max_bins, ThreadPool* pool
 
   const auto bin_feature = [&](std::size_t f) {
     std::vector<double> sorted = x.column(f);
+    // NaN has no place in the sort or under a cut point, and an infinite
+    // value makes an infinite or NaN midpoint threshold.
+    MPHPC_EXPECTS(std::all_of(sorted.begin(), sorted.end(),
+                              [](double v) { return std::isfinite(v); }));
     std::sort(sorted.begin(), sorted.end());
     FeatureBins& bins = out.per_feature_[f];
     bins.thresholds = make_thresholds(sorted, max_bins);

@@ -54,6 +54,9 @@ class BinnedMatrix {
 
   /// Builds quantile bins (at most max_bins per feature, 2 <= max_bins <=
   /// kMaxBins) and encodes every cell. `pool` distributes whole features.
+  /// Every cell of `x` must be finite: a bin code must send a row the same
+  /// way as the raw test `x <= threshold`, and NaN fails that test while
+  /// binning it would give code 0 (left).
   static BinnedMatrix build(const Matrix& x, int max_bins,
                             ThreadPool* pool = nullptr);
 

@@ -27,20 +27,29 @@ std::size_t tree_output_width(const DecisionTree& tree) {
 }
 
 /// Longest root-to-leaf edge count — the fixed walk length of a tree.
+/// Child links always point forward (trainers append children after their
+/// parent; deserialization rejects anything else), so one forward pass
+/// settles every node's longest path before its children read it. A path
+/// enumeration would be exponential on a model file whose node graph shares
+/// children (a chain of diamonds).
 template <typename Node>
 std::int32_t tree_depth(const std::vector<Node>& nodes) {
+  std::vector<std::int32_t> depth(nodes.size(), -1);  // -1: unreachable
+  depth[0] = 0;
   std::int32_t max_depth = 0;
-  std::vector<std::pair<std::int32_t, std::int32_t>> stack{{0, 0}};
-  while (!stack.empty()) {
-    const auto [i, d] = stack.back();
-    stack.pop_back();
-    const Node& node = nodes[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (depth[i] < 0) continue;
+    const Node& node = nodes[i];
     if (node.is_leaf()) {
-      max_depth = std::max(max_depth, d);
+      max_depth = std::max(max_depth, depth[i]);
       continue;
     }
-    stack.push_back({node.left, d + 1});
-    stack.push_back({node.right, d + 1});
+    for (const int child : {node.left, node.right}) {
+      MPHPC_ASSERT(static_cast<std::size_t>(child) > i &&
+                   static_cast<std::size_t>(child) < nodes.size());
+      auto& d = depth[static_cast<std::size_t>(child)];
+      d = std::max(d, depth[i] + 1);
+    }
   }
   return max_depth;
 }

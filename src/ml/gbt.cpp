@@ -1,7 +1,10 @@
 #include "ml/gbt.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include <optional>
@@ -36,23 +39,39 @@ struct SplitCandidate {
 };
 
 /// Per-fit shared context: the method-specific view of X (global feature
-/// pre-sort for kExact, quantile bin codes for kHist) plus the pool used
-/// for in-tree per-feature parallelism.
+/// pre-sort for kExact; quantile bin codes for kHist, column-major for the
+/// node partition and row-major for histograms and bin-code walks) plus the
+/// pool for in-tree per-feature parallelism. The pool is used at one level
+/// only: a multi-output fit fans out over outputs, so its trees run serially.
 struct BuildContext {
   const Matrix& x;
   std::vector<std::vector<std::uint32_t>> sorted;  ///< kExact: [feature] order
-  std::optional<BinnedMatrix> binned;              ///< kHist: uint8 codes
-  ThreadPool* pool = nullptr;
+  std::optional<BinnedMatrix> binned;  ///< kHist: uint8 codes, column-major
+  hist::Layout layout;                 ///< kHist: ragged (G, H) layout
+  /// kHist, row-major: [row * features + feature] = the cell's histogram
+  /// bin, i.e. its feature's layout offset plus its code, so a row finds
+  /// its bin in every feature's histogram slice with one load.
+  std::vector<std::uint32_t> row_bins;
+  ThreadPool* pool = nullptr;  ///< in-tree pool (null: serial trees)
 
-  BuildContext(const Matrix& matrix, const GbtOptions& opt, ThreadPool* p)
-      : x(matrix), pool(p) {
+  BuildContext(const Matrix& matrix, const GbtOptions& opt, ThreadPool* p,
+               std::size_t n_out)
+      : x(matrix), pool(n_out > 1 ? nullptr : p) {
+    const std::size_t n = x.rows();
+    const std::size_t n_feat = x.cols();
     if (opt.tree_method == GbtTreeMethod::kHist) {
-      binned.emplace(BinnedMatrix::build(x, opt.max_bins, pool));
+      binned.emplace(BinnedMatrix::build(x, opt.max_bins, p));
+      layout = hist::Layout::make(*binned, 2);
+      row_bins.resize(n * n_feat);
+      for (std::size_t f = 0; f < n_feat; ++f) {
+        const std::uint8_t* codes = binned->codes(f);
+        const auto offset = static_cast<std::uint32_t>(layout.offsets[f]);
+        for (std::size_t r = 0; r < n; ++r) row_bins[r * n_feat + f] = offset + codes[r];
+      }
       return;
     }
-    const std::size_t n = x.rows();
-    sorted.resize(x.cols());
-    for (std::size_t f = 0; f < x.cols(); ++f) {
+    sorted.resize(n_feat);
+    for (std::size_t f = 0; f < n_feat; ++f) {
       auto& order = sorted[f];
       order.resize(n);
       std::iota(order.begin(), order.end(), std::uint32_t{0});
@@ -62,25 +81,12 @@ struct BuildContext {
                        });
     }
   }
-};
 
-/// Runs fn(f) for every active feature, distributing whole features over
-/// the pool. Each feature's work is self-contained and internally serial,
-/// so the result does not depend on the chunking or the thread count.
-void for_each_active_feature(const BuildContext& ctx,
-                             std::span<const std::uint8_t> in_cols,
-                             const std::function<void(std::size_t)>& fn) {
-  const std::size_t n_feat = ctx.x.cols();
-  if (ctx.pool != nullptr && n_feat > 1) {
-    ctx.pool->parallel_for(0, n_feat, [&](std::size_t f) {
-      if (in_cols[f]) fn(f);
-    });
-    return;
+  /// Histogram bins of row r, one per feature (kHist).
+  [[nodiscard]] const std::uint32_t* bins_of_row(std::size_t r) const noexcept {
+    return row_bins.data() + r * x.cols();
   }
-  for (std::size_t f = 0; f < n_feat; ++f) {
-    if (in_cols[f]) fn(f);
-  }
-}
+};
 
 /// Builds one boosted tree with exact-greedy splits on the in-sample rows
 /// with gradients g and hessians h, accumulating split gains into
@@ -232,21 +238,31 @@ GbtTree build_tree_exact(const BuildContext& ctx, const GbtOptions& opt,
 using Histogram = std::vector<double>;
 using hist::SiblingPair;
 
-/// Accumulates rows `node_rows` of one feature into its histogram slice.
-void accumulate_feature(const std::uint8_t* codes, double* slice,
-                        std::span<const std::uint32_t> node_rows,
-                        std::span<const double> g, std::span<const double> h) {
-  for (const std::uint32_t r : node_rows) {
-    const auto b = static_cast<std::size_t>(codes[r]);
-    slice[2 * b] += g[r];
-    slice[2 * b + 1] += h[r];
-  }
+/// One (G, H) histogram cell as a two-lane vector: a pair add is two
+/// independent IEEE additions, bit-identical to the scalar ones.
+using Pair = double __attribute__((vector_size(16)));
+
+inline Pair load_pair(const double* cell) noexcept {
+  Pair v;
+  std::memcpy(&v, cell, sizeof v);
+  return v;
+}
+
+inline void store_pair(double* cell, Pair v) noexcept {
+  std::memcpy(cell, &v, sizeof v);
 }
 
 /// Sweeps the bin boundaries of feature f in `hist` and records the best
 /// split for a node with totals (sum_g, sum_h). The cumulative left sums
 /// accumulate in ascending bin order, so re-summing bins [0, best.bin]
 /// later reproduces the winning child sums bit-for-bit.
+///
+/// Bin occupancy is data-dependent, so per-bin branches mispredict: the
+/// loop computes every boundary's gain and selects without branching,
+/// under the rules a branchy scan would apply. A boundary counts only when
+/// neither child is under min_child_weight; the sweep stops at the first
+/// boundary whose left side is heavy enough but whose right side is not
+/// (hl only grows, hr only shrinks); the first strictly greater gain wins.
 void best_bin_split(const BinnedMatrix& bm, std::size_t f,
                     const hist::Layout& layout, const Histogram& hist,
                     double sum_g, double sum_h, const GbtOptions& opt,
@@ -255,22 +271,30 @@ void best_bin_split(const BinnedMatrix& bm, std::size_t f,
   const int nb = fb.n_bins();
   const double* slice = hist.data() + layout.begin_cell(f);
   const double parent_score = sum_g * sum_g / (sum_h + opt.lambda);
+  const Pair lambda = {opt.lambda, opt.lambda};
+  double best_gain = best.gain;
+  int best_bin = -1;
   double gl = 0.0;
   double hl = 0.0;
   for (int b = 0; b + 1 < nb; ++b) {
     const auto bi = static_cast<std::size_t>(b);
     gl += slice[2 * bi];
     hl += slice[2 * bi + 1];
-    if (hl < opt.min_child_weight) continue;
     const double hr = sum_h - hl;
-    if (hr < opt.min_child_weight) break;  // hl only grows, hr only shrinks
-    const double gr = sum_g - gl;
-    const double gain = 0.5 * (gl * gl / (hl + opt.lambda) +
-                               gr * gr / (hr + opt.lambda) - parent_score) -
-                        opt.gamma;
-    if (gain > best.gain) {
-      best = {gain, fb.thresholds[bi], static_cast<int>(f), b};
-    }
+    const bool light_left = hl < opt.min_child_weight;
+    const bool light_right = hr < opt.min_child_weight;
+    if (!light_left && light_right) break;
+    // {GL^2/(HL+lambda), GR^2/(HR+lambda)} in one two-lane divide.
+    const Pair grad = {gl, sum_g - gl};
+    const Pair score = grad * grad / (Pair{hl, hr} + lambda);
+    const double gain = 0.5 * (score[0] + score[1] - parent_score) - opt.gamma;
+    const bool better = !light_left && gain > best_gain;
+    best_gain = better ? gain : best_gain;
+    best_bin = better ? b : best_bin;
+  }
+  if (best_bin >= 0) {
+    best = {best_gain, fb.thresholds[static_cast<std::size_t>(best_bin)],
+            static_cast<int>(f), best_bin};
   }
 }
 
@@ -291,15 +315,17 @@ struct HistTreeBuilder {
   const BinnedMatrix& bm;
   std::span<const double> g;
   std::span<const double> h;
-  std::span<const std::uint8_t> in_cols;
+  std::span<const std::uint8_t> in_cols;  ///< per feature: sampled for this tree
   std::span<double> gain_sum;
   std::span<double> split_count;
-  hist::Layout layout;  ///< ragged (G, H) histogram layout
+  const hist::Layout& layout;  ///< ragged (G, H) histogram layout
 
   hist::NodePartition part;  ///< in-sample rows, node-partitioned
   GbtTree tree;
   std::vector<double> node_g;  ///< per node id, gradient/hessian totals
   std::vector<double> node_h;
+  std::vector<int> node_bin;   ///< per node id, split bin (codes <= bin go left)
+  int levels = 0;              ///< depth of the built tree
 
   HistTreeBuilder(const BuildContext& context, const GbtOptions& options,
                   std::span<const double> grad, std::span<const double> hess,
@@ -308,7 +334,7 @@ struct HistTreeBuilder {
                   std::span<double> gains, std::span<double> counts)
       : opt(options), ctx(context), bm(*context.binned), g(grad), h(hess),
         in_cols(cols), gain_sum(gains), split_count(counts),
-        layout(hist::Layout::make(bm, 2)) {
+        layout(context.layout) {
     std::vector<std::uint32_t> rows;
     rows.reserve(ctx.x.rows());
     for (std::size_t r = 0; r < ctx.x.rows(); ++r) {
@@ -318,9 +344,47 @@ struct HistTreeBuilder {
     tree.nodes.emplace_back();
     node_g = {0.0};
     node_h = {0.0};
+    node_bin = {-1};
     for (const std::uint32_t r : part.items(0)) {
       node_g[0] += g[r];
       node_h[0] += h[r];
+    }
+  }
+
+  /// Runs fn(lo, hi) over blocks [lo, hi) of the features, spread over
+  /// the pool when the context has one. Each block's work is
+  /// self-contained and internally serial, so the result does not depend
+  /// on the blocking or the thread count.
+  void for_each_feature_block(
+      const std::function<void(std::size_t, std::size_t)>& fn) const {
+    const std::size_t n_feat = ctx.x.cols();
+    if (ctx.pool != nullptr && n_feat > 1) {
+      ctx.pool->parallel_chunks(0, n_feat,
+                                [&](std::size_t, std::size_t lo, std::size_t hi) {
+                                  fn(lo, hi);
+                                });
+      return;
+    }
+    fn(0, n_feat);
+  }
+
+  /// Adds node rows `rows` to the (G, H) cells of features [lo, hi) in
+  /// `hist`, row by row: each row's g/h and bins load once for all
+  /// features. Rows come in ascending partition order, so every cell sums
+  /// the same values in the same order as a per-feature pass would.
+  /// Features left out by colsample are accumulated too and never read,
+  /// so the inner loop runs over contiguous features with no lookup in a
+  /// sampled-feature list; the extra cells cost only colsample < 1 fits.
+  void accumulate_rows(double* hist, std::span<const std::uint32_t> rows,
+                       std::size_t lo, std::size_t hi) const {
+    const auto add = [hist](std::uint32_t bin, Pair gh) {
+      double* cell = hist + 2 * static_cast<std::size_t>(bin);
+      store_pair(cell, load_pair(cell) + gh);
+    };
+    for (const std::uint32_t r : rows) {
+      const std::uint32_t* bins = ctx.bins_of_row(r);
+      const Pair gh = {g[r], h[r]};
+      for (std::size_t f = lo; f < hi; ++f) add(bins[f], gh);
     }
   }
 
@@ -347,6 +411,8 @@ struct HistTreeBuilder {
     tree.nodes[nid].right = left_id + 1;
     tree.nodes.emplace_back();
     tree.nodes.emplace_back();
+    node_bin[nid] = w.bin;
+    node_bin.insert(node_bin.end(), {-1, -1});
 
     const std::uint8_t* codes = bm.codes(static_cast<std::size_t>(w.feature));
     const std::size_t left_count = part.split(nid, codes, w.bin);
@@ -377,8 +443,9 @@ struct HistTreeBuilder {
   /// that level's per-feature split candidates: each pair's smaller child
   /// is accumulated from its rows, the larger derived by subtracting it
   /// from the parent's histogram (whose buffer it inherits), and both are
-  /// swept while still cache-hot. Each feature's work is self-contained;
-  /// the candidate reduction happens later in fixed feature order.
+  /// swept while still cache-hot. Each feature block's work is
+  /// self-contained; the candidate reduction happens later in fixed
+  /// feature order.
   std::vector<SplitCandidate> make_child_level(
       HistLevel& level, HistLevel& next, const std::vector<SiblingPair>& pairs) {
     const std::size_t n_next = next.nodes.size();
@@ -388,38 +455,38 @@ struct HistTreeBuilder {
       next.hists[pair.big_dense] = std::move(level.hists[pair.parent_dense]);
     }
     std::vector<SplitCandidate> bests(ctx.x.cols() * n_next);
-    for_each_active_feature(ctx, in_cols, [&](std::size_t f) {
-      const std::uint8_t* codes = bm.codes(f);
-      const std::size_t lo_cell = layout.begin_cell(f);
-      const std::size_t f_cells = layout.feature_cells(f);
+    for_each_feature_block([&](std::size_t lo, std::size_t hi) {
       for (const SiblingPair& pair : pairs) {
         Histogram& small = next.hists[pair.small_dense];
         Histogram& big = next.hists[pair.big_dense];
         const auto small_nid =
             static_cast<std::size_t>(next.nodes[pair.small_dense]);
-        accumulate_feature(codes, small.data() + lo_cell, part.items(small_nid),
-                           g, h);
-        hist::subtract_sibling(big.data() + lo_cell, small.data() + lo_cell,
-                               f_cells);
-        sweep_node(f, small, small_nid, bests[f * n_next + pair.small_dense]);
-        sweep_node(f, big, static_cast<std::size_t>(next.nodes[pair.big_dense]),
-                   bests[f * n_next + pair.big_dense]);
+        const auto big_nid = static_cast<std::size_t>(next.nodes[pair.big_dense]);
+        accumulate_rows(small.data(), part.items(small_nid), lo, hi);
+        for (std::size_t f = lo; f < hi; ++f) {
+          if (!in_cols[f]) continue;
+          hist::subtract_sibling(big.data() + layout.begin_cell(f),
+                                 small.data() + layout.begin_cell(f),
+                                 layout.feature_cells(f));
+          sweep_node(f, small, small_nid, bests[f * n_next + pair.small_dense]);
+          sweep_node(f, big, big_nid, bests[f * n_next + pair.big_dense]);
+        }
       }
     });
     return bests;
   }
 
-  GbtTree build() {
+  void build() {
     const std::size_t n_feat = ctx.x.cols();
     HistLevel level;
     level.nodes = {0};
     level.hists.emplace_back(layout.cells(), 0.0);
     std::vector<SplitCandidate> bests(n_feat);
-    for_each_active_feature(ctx, in_cols, [&](std::size_t f) {
-      accumulate_feature(bm.codes(f),
-                         level.hists[0].data() + layout.begin_cell(f),
-                         part.items(0), g, h);
-      sweep_node(f, level.hists[0], 0, bests[f]);
+    for_each_feature_block([&](std::size_t lo, std::size_t hi) {
+      accumulate_rows(level.hists[0].data(), part.items(0), lo, hi);
+      for (std::size_t f = lo; f < hi; ++f) {
+        if (in_cols[f]) sweep_node(f, level.hists[0], 0, bests[f]);
+      }
     });
 
     for (int depth = 0; depth < opt.max_depth && !level.nodes.empty(); ++depth) {
@@ -440,6 +507,7 @@ struct HistTreeBuilder {
         }
       }
       if (next.nodes.empty()) break;
+      levels = depth + 1;
       // Children at max depth become leaves; no histograms needed.
       if (depth + 1 < opt.max_depth) {
         bests = make_child_level(level, next, pairs);
@@ -453,20 +521,70 @@ struct HistTreeBuilder {
       tree.nodes[i].weight =
           -node_g[i] / (node_h[i] + opt.lambda) * opt.learning_rate;
     }
-    return tree;
+  }
+
+  /// Adds the built tree's leaf weight to every row's prediction, exactly
+  /// once, as the tree walk on raw values would: an in-sample row takes
+  /// the weight of the leaf whose partition range holds it; an
+  /// out-of-sample row walks the tree on its bin codes, where
+  /// `code <= bin` holds exactly when `x <= thresholds[bin]` (compared
+  /// here as histogram bins, both offset by the feature's layout offset)
+  /// for every finite x, the only kind BinnedMatrix::build accepts.
+  /// That walk is branch-free and always takes `levels` steps: a leaf's
+  /// test always holds, and its left link is itself.
+  void add_leaf_weights(std::span<double> pred,
+                        std::span<const std::uint8_t> in_sample) const {
+    const std::vector<GbtNode>& nodes = tree.nodes;
+    struct Step {
+      std::uint32_t feature = 0;
+      std::uint32_t bin = std::numeric_limits<std::uint32_t>::max();
+      std::array<std::uint32_t, 2> child{};  ///< {row bin <= bin, row bin > bin}
+    };
+    std::vector<Step> steps(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const GbtNode& n = nodes[i];
+      if (n.is_leaf()) {
+        const double w = n.weight;
+        for (const std::uint32_t r : part.items(i)) pred[r] += w;
+        steps[i].child = {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i)};
+        continue;
+      }
+      const auto f = static_cast<std::size_t>(n.feature);
+      steps[i] = {static_cast<std::uint32_t>(f),
+                  static_cast<std::uint32_t>(layout.offsets[f]) +
+                      static_cast<std::uint32_t>(node_bin[i]),
+                  {static_cast<std::uint32_t>(n.left), static_cast<std::uint32_t>(n.right)}};
+    }
+    for (std::size_t r = 0; r < pred.size(); ++r) {
+      if (in_sample[r]) continue;
+      const std::uint32_t* bins = ctx.bins_of_row(r);
+      std::uint32_t i = 0;
+      for (int s = 0; s < levels; ++s) {
+        const Step& step = steps[i];
+        i = step.child[static_cast<std::size_t>(bins[step.feature] > step.bin)];
+      }
+      pred[r] += nodes[i].weight;
+    }
   }
 };
 
 /// Builds one boosted tree using per-node gradient histograms over the
-/// pre-binned features (see the header comment in gbt.hpp).
+/// pre-binned features (see the header comment in gbt.hpp) and adds its
+/// leaf weights to `pred`.
 GbtTree build_tree_hist(const BuildContext& ctx, const GbtOptions& opt,
                         std::span<const double> g, std::span<const double> h,
                         std::span<const std::uint8_t> in_sample,
                         std::span<const std::uint8_t> in_cols,
-                        std::span<double> gain_sum, std::span<double> split_count) {
-  return HistTreeBuilder(ctx, opt, g, h, in_sample, in_cols, gain_sum,
-                         split_count)
-      .build();
+                        std::span<double> gain_sum, std::span<double> split_count,
+                        std::span<double> pred) {
+  HistTreeBuilder builder(ctx, opt, g, h, in_sample, in_cols, gain_sum, split_count);
+  builder.build();
+  builder.add_leaf_weights(pred, in_sample);
+  // Take the nodes out instead of copying them, trimmed to size: the
+  // ensemble keeps every tree of the fit.
+  GbtTree tree = std::move(builder.tree);
+  tree.nodes.shrink_to_fit();
+  return tree;
 }
 
 /// Per-tree subsampling mask: marks `sampled` of `total` entries drawn
@@ -579,7 +697,7 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
 
   GbtOptions build_opt = options_;
   build_opt.max_bins = resolve_max_bins(options_.max_bins, n);
-  const BuildContext ctx(x, build_opt, pool);
+  const BuildContext ctx(x, build_opt, pool, n_out);
 
   const auto n_cols_sampled = static_cast<std::size_t>(std::max(
       1.0, std::round(options_.colsample * static_cast<double>(n_feat))));
@@ -661,12 +779,15 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
       fill_sample_mask(st.rng, st.in_sample, n, n_rows_sampled);
       fill_sample_mask(st.rng, st.in_cols, n_feat, n_cols_sampled);
 
-      GbtTree tree =
-          options_.tree_method == GbtTreeMethod::kHist
-              ? build_tree_hist(ctx, build_opt, st.g, st.h, st.in_sample,
-                                st.in_cols, gain_by_output_[k], count_by_output_[k])
-              : build_tree_exact(ctx, build_opt, st.g, st.h, st.in_sample,
-                                 st.in_cols, gain_by_output_[k], count_by_output_[k]);
+      if (options_.tree_method == GbtTreeMethod::kHist) {
+        ensemble.push_back(build_tree_hist(ctx, build_opt, st.g, st.h, st.in_sample,
+                                           st.in_cols, gain_by_output_[k],
+                                           count_by_output_[k], st.pred));
+        continue;
+      }
+      GbtTree tree = build_tree_exact(ctx, build_opt, st.g, st.h, st.in_sample,
+                                      st.in_cols, gain_by_output_[k],
+                                      count_by_output_[k]);
       for (std::size_t r = 0; r < n; ++r) st.pred[r] += tree.predict(x.row(r));
       ensemble.push_back(std::move(tree));
     }

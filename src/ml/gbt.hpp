@@ -9,12 +9,23 @@
 // Two split-search methods are available. kExact sweeps every distinct
 // value of every feature over a global pre-sort (the reference
 // implementation). kHist — the default — quantizes each feature into at
-// most max_bins quantile bins once per fit (ml/binning.hpp), accumulates
-// per-node gradient/hessian histograms, derives each split pair's larger
-// child by subtracting the smaller child's histogram from the parent's,
-// and sweeps bin boundaries instead of rows. The per-feature histogram
-// pass runs on the ThreadPool and is reduced in fixed feature order, so
-// fits are bit-identical at any thread count in both methods.
+// most max_bins quantile bins once per fit (ml/binning.hpp) and keeps a
+// row-major copy of the codes. A node's gradient/hessian histogram is
+// filled in one pass over its rows for all features, so each row's
+// gradient and hessian load once (only the features sampled for the tree
+// are swept); each split pair's larger child is
+// derived by subtracting the smaller child's histogram from the parent's,
+// and bin boundaries are swept instead of rows. After each tree, in-sample
+// rows take their leaf's weight from the node partition's leaf ranges and
+// out-of-sample rows walk the tree on their bin codes, so no round walks
+// the raw feature values. kHist needs finite feature values (binning
+// rejects NaN and infinities).
+//
+// The ThreadPool is used at one level only: over outputs when there are
+// several, otherwise over blocks of features inside each tree. Candidates
+// reduce in fixed feature order and every histogram cell sums its rows in
+// partition order, so fits are bit-identical at any thread count in both
+// methods.
 //
 // Multi-output targets train one additive ensemble per output; feature
 // importances are the average split gain per feature, averaged over the

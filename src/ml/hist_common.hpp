@@ -7,15 +7,20 @@
 // per-node histogram of sufficient statistics per (feature, bin), derive
 // each split pair's larger child by subtracting the smaller child's
 // histogram from the parent's, and sweep bin boundaries. What differs is
-// only the statistic width: GBT stores (G, H) pairs, CART stores
-// (count, per-output target sums). This header hoists the width-agnostic
-// pieces — the ragged layout, the sibling subtraction, and the stable
-// node partition — so both trainers share one implementation.
+// the statistic width — GBT stores (G, H) pairs, CART stores (count,
+// per-output target sums) — and the accumulation order. GBT keeps a
+// row-major copy of the codes and fills a node's histogram row by row for
+// all sampled features at once; CART accumulates feature by feature from
+// the column-major codes. This header hoists the width-agnostic pieces —
+// the ragged layout, the sibling subtraction, and the stable node
+// partition — so both trainers share one implementation.
 //
 // Determinism contract: nothing here depends on thread count. The layout
 // is a pure function of the BinnedMatrix, subtraction is element-wise in
 // ascending index order, and the partition is stable, so item order inside
-// a node never depends on the split schedule.
+// a node never depends on the split schedule. A histogram cell therefore
+// sums its node's items in ascending partition order whether it is filled
+// row-wise or feature-wise.
 #pragma once
 
 #include <algorithm>
@@ -105,22 +110,28 @@ class NodePartition {
 
   /// Stably partitions node nid's range by `codes[item] <= bin` (left
   /// first), registers the two children as the next consecutive node ids
-  /// (left then right), and returns the left child's item count.
+  /// (left then right), and returns the left child's item count. One
+  /// branchless pass: every item is written to both destinations and only
+  /// the matching cursor advances, so balanced splits cost no mispredicted
+  /// branches. Lefts compact in place (the write cursor never passes the
+  /// read cursor); rights stage in scratch and are copied in behind them.
   std::size_t split(std::size_t nid, const std::uint8_t* codes, int bin) {
     MPHPC_EXPECTS(nid < begin_.size() && codes != nullptr);
     const std::size_t lo = begin_[nid];
     const std::size_t hi = end_[nid];
-    std::size_t out = lo;
+    std::uint32_t* items = items_.data();
+    std::uint32_t* rights = scratch_.data();
+    std::size_t mid = lo;
+    std::size_t n_right = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (static_cast<int>(codes[items_[i]]) <= bin) scratch_[out++] = items_[i];
+      const std::uint32_t item = items[i];
+      const auto left = static_cast<std::size_t>(static_cast<int>(codes[item]) <= bin);
+      items[mid] = item;
+      rights[n_right] = item;
+      mid += left;
+      n_right += 1 - left;
     }
-    const std::size_t mid = out;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (static_cast<int>(codes[items_[i]]) > bin) scratch_[out++] = items_[i];
-    }
-    std::copy(scratch_.begin() + static_cast<std::ptrdiff_t>(lo),
-              scratch_.begin() + static_cast<std::ptrdiff_t>(hi),
-              items_.begin() + static_cast<std::ptrdiff_t>(lo));
+    std::copy_n(rights, n_right, items + mid);
     begin_.insert(begin_.end(), {lo, mid});
     end_.insert(end_.end(), {mid, hi});
     return mid - lo;

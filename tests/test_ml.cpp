@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/binning.hpp"
 #include "ml/compiled_ensemble.hpp"
@@ -463,6 +464,30 @@ TEST(Gbt, RejectsInvalidMaxBins) {
   EXPECT_THROW(model.fit(p.x, p.y), ContractViolation);
 }
 
+TEST(Gbt, HistFitRejectsNonFiniteFeatures) {
+  // A bin code must route a row the way the raw test `x <= threshold`
+  // does; NaN fails every such test, so binning it would disagree.
+  GbtOptions options = small_gbt();
+  options.tree_method = GbtTreeMethod::kHist;
+  ForestOptions forest_options;
+  forest_options.n_trees = 2;
+  forest_options.method = TreeMethod::kHist;
+  ThreadPool pool(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Problem p = make_problem(60, 0.0, 25);
+    p.x(17, 1) = bad;
+    EXPECT_THROW((void)BinnedMatrix::build(p.x, 32), ContractViolation);
+    for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      GbtRegressor gbt(options);
+      EXPECT_THROW(gbt.fit(p.x, p.y, p_pool), ContractViolation);
+      RandomForest forest(forest_options);
+      EXPECT_THROW(forest.fit(p.x, p.y, p_pool), ContractViolation);
+    }
+  }
+}
+
 TEST(Gbt, ResolveMaxBinsAutoScalesWithRows) {
   // 0 is the auto sentinel: clamp(rows / 64, 32, kMaxBins).
   EXPECT_EQ(resolve_max_bins(0, 100), 32);       // small data -> floor
@@ -904,6 +929,115 @@ TEST(RandomForest, HistDeterministicAcrossThreadCounts) {
   }
 }
 
+// ------------------------------------------------- training golden bits ----
+
+// Training must stay bit-stable across trainer refactors: these digests
+// pin the exact serialized models and importances of three hist fits. A
+// change that reorders any floating-point addition in histogram building,
+// split search, partitioning or the per-round prediction update moves
+// them. Each fit runs serially and on a pool, so the thread-count
+// independence contract is pinned too.
+
+// Eight features in the counter-dataset mix: continuous, low-cardinality
+// and one-hot flags (near-constant histograms), three outputs.
+Problem make_wide_problem(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(n, 8);
+  Matrix y(n, 3);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double x0 = rng.uniform();
+    const double x1 = std::floor(rng.uniform() * 12.0);  // 12 levels
+    const double x2 = rng.uniform() < 0.2 ? 1.0 : 0.0;   // sparse flag
+    const double x3 = rng.uniform() * rng.uniform();     // skewed
+    x(r, 0) = x0;
+    x(r, 1) = x1;
+    x(r, 2) = x2;
+    x(r, 3) = x3;
+    x(r, 4) = rng.uniform() < 0.5 ? 1.0 : 0.0;  // irrelevant flag
+    x(r, 5) = rng.uniform();                    // irrelevant
+    x(r, 6) = 1.0 - x2;                         // one-hot partner of x2
+    x(r, 7) = std::floor(rng.uniform() * 3.0);  // 3 levels
+    y(r, 0) = 2.0 * x0 + 0.25 * x1 - 3.0 * x2 * x3 + 0.2 * (rng.uniform() - 0.5);
+    y(r, 1) = (x1 > 6.0 ? 1.5 : -0.5) + x3 + 0.3 * (rng.uniform() - 0.5);
+    y(r, 2) = std::sin(6.0 * x0) * (1.0 + 0.5 * x(r, 7)) +
+              0.1 * (rng.uniform() - 0.5);
+  }
+  return {std::move(x), std::move(y)};
+}
+
+std::string digest(std::string_view text) { return format_hex64(fnv1a_64(text)); }
+
+std::string digest_importances(const Regressor& model) {
+  const auto imp = model.feature_importances();
+  std::string text;
+  for (const double v : imp.value()) text += format_double(v) + " ";
+  return digest(text);
+}
+
+std::string serialize_forest(const RandomForest& forest) {
+  std::string out;
+  for (const DecisionTree& tree : forest.trees()) {
+    out += "tree " + std::to_string(tree.nodes().size()) + "\n";
+    for (const TreeNode& node : tree.nodes()) {
+      out += std::to_string(node.feature) + " " + format_double(node.threshold) +
+             " " + std::to_string(node.left) + " " + std::to_string(node.right);
+      for (const double v : node.value) out += " " + format_double(v);
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+TEST(TrainingGolden, MultiOutputHistGbtSubsampled) {
+  const Problem p = make_wide_problem(700, 91);
+  GbtOptions options;
+  options.n_rounds = 30;
+  options.max_depth = 6;
+  options.subsample = 0.8;
+  options.colsample = 0.6;
+  options.tree_method = GbtTreeMethod::kHist;
+  ThreadPool pool(3);
+  for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    GbtRegressor model(options);
+    model.fit(p.x, p.y, p_pool);
+    EXPECT_EQ(digest(model.serialize()), "35528bbaa28a4753");
+    EXPECT_EQ(digest_importances(model), "c96b2ca31f1736a4");
+  }
+}
+
+TEST(TrainingGolden, PseudoHuberHistGbt) {
+  const Problem p = make_wide_problem(600, 92);
+  const Matrix y0 = Matrix(p.y.rows(), 1, p.y.column(0));
+  GbtOptions options;
+  options.n_rounds = 25;
+  options.max_depth = 7;
+  options.objective = GbtObjective::kPseudoHuber;
+  options.huber_delta = 0.5;
+  options.tree_method = GbtTreeMethod::kHist;
+  ThreadPool pool(3);
+  for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    GbtRegressor model(options);
+    model.fit(p.x, y0, p_pool);
+    EXPECT_EQ(digest(model.serialize()), "5058660118778b30");
+    EXPECT_EQ(digest_importances(model), "ba6ade51a32d65b4");
+  }
+}
+
+TEST(TrainingGolden, HistRandomForest) {
+  const Problem p = make_wide_problem(500, 93);
+  ForestOptions options;
+  options.n_trees = 12;
+  options.max_depth = 8;
+  options.method = TreeMethod::kHist;
+  ThreadPool pool(3);
+  for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    RandomForest model(options);
+    model.fit(p.x, p.y, p_pool);
+    EXPECT_EQ(digest(serialize_forest(model)), "1289cc6e6b18ae42");
+    EXPECT_EQ(digest_importances(model), "ce0c4ca613efc03a");
+  }
+}
+
 // ------------------------------------------------ compiled ensemble parity ----
 
 void expect_matrices_identical(const Matrix& a, const Matrix& b) {
@@ -1305,6 +1439,30 @@ TEST(QuantizedParity, WideModelFallsBackToExact) {
   const Matrix shared_reference = shared.predict(probe);
   expect_matrices_identical(compiled_shared.predict(probe), shared_reference);
   expect_row_parity(compiled_shared, probe, shared_reference);
+}
+
+TEST(QuantizedParity, SharedDiamondChainCompilesToExactPool) {
+  // A hostile model file: 63 internal nodes whose both links point at the
+  // next node (a chain of shared diamonds), then one leaf. It has 2^63
+  // root-to-leaf paths, so compiling must measure the walk length without
+  // enumerating them. Shared children rule out the bin-code pool.
+  std::string text =
+      "gbt 1 1\nbase 0.5\nimportance_gain 0\nimportance_count 0\ntree 0 64\n";
+  for (int i = 0; i < 63; ++i) {
+    text += "0 " + format_double(0.01 * i) + " " + std::to_string(i + 1) + " " +
+            std::to_string(i + 1) + " 0\n";
+  }
+  text += "-1 0 -1 -1 1.25\n";
+  const GbtRegressor chain = GbtRegressor::deserialize(text);
+  const auto compiled = CompiledEnsemble::compile(chain);
+  EXPECT_FALSE(compiled.quantized());
+  EXPECT_EQ(compiled.quantize_note(), "a tree node does not have exactly one parent");
+  EXPECT_EQ(compiled.n_nodes(), 64u);
+  const Matrix probe(3, 1, {-1.0, 0.3, 2.0});
+  const Matrix reference = chain.predict(probe);
+  EXPECT_EQ(reference(0, 0), 1.75);
+  expect_matrices_identical(compiled.predict(probe), reference);
+  expect_row_parity(compiled, probe, reference);
 }
 
 // Parameterized noise sweep: learned models should always beat the mean

@@ -2,6 +2,7 @@
 // parameter sweeps (seeded, so failures are reproducible).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -13,6 +14,7 @@
 #include "data/transforms.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
+#include "ml/hist_common.hpp"
 #include "ml/mean_regressor.hpp"
 #include "ml/metrics.hpp"
 #include "sched/assigners.hpp"
@@ -344,6 +346,68 @@ TEST_P(GbtProperty, RefitIsIdempotent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GbtProperty, ::testing::Values(41u, 42u, 43u));
+
+// ------------------------------------------- hist node partition split ----
+
+// NodePartition::split must equal std::stable_partition on `code <= bin`
+// for every node it is asked to split: random codes, random bins (one-sided
+// and out-of-range ones included) and item multisets with duplicates, as
+// the CART bootstrap produces. Splitting level by level also checks that
+// child ranges are registered in node-id order and never disturb siblings.
+class NodePartitionProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(NodePartitionProperty, SplitMatchesStablePartition) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n_rows = static_cast<std::size_t>(rng.range(1, 300));
+    const auto n_codes = static_cast<int>(rng.range(1, 256));
+    std::vector<std::uint8_t> codes(n_rows);
+    for (std::uint8_t& c : codes) {
+      c = static_cast<std::uint8_t>(rng.range(0, n_codes - 1));
+    }
+    // Items: a bootstrap multiset (with replacement, ascending) or an
+    // ascending subset without duplicates; trial 0 starts empty.
+    std::vector<std::uint32_t> items;
+    const std::size_t n_items = trial == 0 ? 0 : rng.below(2 * n_rows + 1);
+    for (std::size_t i = 0; i < n_items; ++i) {
+      items.push_back(static_cast<std::uint32_t>(rng.below(n_rows)));
+    }
+    std::sort(items.begin(), items.end());
+    if (trial % 2 == 1) items.erase(std::unique(items.begin(), items.end()), items.end());
+
+    ml::hist::NodePartition part;
+    part.reset(items);
+    std::vector<std::vector<std::uint32_t>> expected = {items};
+    std::vector<std::size_t> frontier = {0};
+    for (int depth = 0; depth < 5; ++depth) {
+      std::vector<std::size_t> next;
+      for (const std::size_t nid : frontier) {
+        // Bins from -1 (all right) through n_codes (all left).
+        const auto bin = static_cast<int>(rng.range(-1, n_codes));
+        std::vector<std::uint32_t> want = expected[nid];
+        const auto mid = std::stable_partition(
+            want.begin(), want.end(),
+            [&](std::uint32_t r) { return static_cast<int>(codes[r]) <= bin; });
+        const auto n_left = static_cast<std::size_t>(mid - want.begin());
+        ASSERT_EQ(part.split(nid, codes.data(), bin), n_left);
+        const std::size_t left = expected.size();
+        expected.emplace_back(want.begin(), mid);
+        expected.emplace_back(mid, want.end());
+        next.insert(next.end(), {left, left + 1});
+      }
+      // Every new child must hold exactly its expected items.
+      for (const std::size_t nid : next) {
+        const auto got = part.items(nid);
+        ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expected[nid])
+            << "trial " << trial << " node " << nid;
+        ASSERT_EQ(part.count(nid), expected[nid].size());
+      }
+      frontier = std::move(next);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NodePartitionProperty, ::testing::Values(51u, 52u, 53u));
 
 }  // namespace
 }  // namespace mphpc

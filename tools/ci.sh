@@ -49,7 +49,11 @@ run_lane dev
 
 # GBT fit smoke: both split-search methods must train end-to-end on the
 # paper-shaped dataset (catches fit regressions that unit-sized problems
-# miss; the tracked timings live in results/BENCH_gbt.json).
+# miss). The tracked timings in results/BENCH_gbt.json come from the
+# `bench` preset, not this dev tree:
+#   build-bench/bench/bench_perf_micro --benchmark_filter=BM_GbtFit \
+#     --benchmark_repetitions=5 --benchmark_out=results/BENCH_gbt.json \
+#     --benchmark_out_format=json
 echo "==== [dev] GBT fit smoke (exact + hist) ===="
 ./build-dev/bench/bench_perf_micro \
   --benchmark_filter='BM_GbtFit(Exact|Hist)/20$' \
