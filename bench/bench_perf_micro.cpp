@@ -126,9 +126,9 @@ void BM_GbtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtFit)->Arg(20)->Arg(50)->Unit(benchmark::kMillisecond);
 
-// Split-search method comparison on the full counter feature set: the
-// paper-scale fit (200 rounds, default depth/subsampling) is the tracked
-// configuration for the histogram-vs-exact trajectory (BENCH_gbt.json).
+// The paper-scale fixture: the full counter feature set at 24 inputs per
+// application. Its 200-round fit is the tracked histogram-trainer
+// configuration (BENCH_gbt.json).
 struct MethodFixture {
   ml::Matrix x;
   ml::Matrix y;
@@ -145,11 +145,10 @@ struct MethodFixture {
   }
 };
 
-void gbt_fit_method(benchmark::State& state, ml::GbtTreeMethod method) {
+void BM_GbtFitHist(benchmark::State& state) {
   const auto& f = MethodFixture::get();
   ml::GbtOptions options;
   options.n_rounds = static_cast<int>(state.range(0));
-  options.tree_method = method;
   for (auto _ : state) {
     ml::GbtRegressor model(options);
     model.fit(f.x, f.y, &ThreadPool::shared());
@@ -157,15 +156,6 @@ void gbt_fit_method(benchmark::State& state, ml::GbtTreeMethod method) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           static_cast<std::int64_t>(f.y.cols()));
-}
-
-void BM_GbtFitExact(benchmark::State& state) {
-  gbt_fit_method(state, ml::GbtTreeMethod::kExact);
-}
-BENCHMARK(BM_GbtFitExact)->Arg(20)->Arg(200)->Unit(benchmark::kMillisecond);
-
-void BM_GbtFitHist(benchmark::State& state) {
-  gbt_fit_method(state, ml::GbtTreeMethod::kHist);
 }
 BENCHMARK(BM_GbtFitHist)->Arg(20)->Arg(200)->Unit(benchmark::kMillisecond);
 
@@ -255,12 +245,37 @@ void BM_GbtCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtCompile)->Unit(benchmark::kMillisecond);
 
+// The daemon's model after refits: the Fig. 2 model warm-started for eight
+// generations at the serve defaults (20 rounds each on a 4,096-row window,
+// consecutive windows wrapping around the fixture). Each generation bins a
+// new window, so its thresholds add cuts; the model passes 255 cuts on a
+// feature and the pool takes the 64-bit word.
+const ml::GbtRegressor& refit_gbt_model() {
+  static const ml::GbtRegressor model = [] {
+    const auto& f = MethodFixture::get();
+    constexpr std::size_t kWindow = 4096;
+    ml::GbtRegressor m = serve_gbt_model();
+    ml::Matrix x(kWindow, f.x.cols());
+    ml::Matrix y(kWindow, f.y.cols());
+    for (std::size_t gen = 0; gen < 8; ++gen) {
+      for (std::size_t i = 0; i < kWindow; ++i) {
+        const std::size_t r = (gen * kWindow + i) % f.x.rows();
+        std::copy(f.x.row(r).begin(), f.x.row(r).end(), x.row(i).begin());
+        std::copy(f.y.row(r).begin(), f.y.row(r).end(), y.row(i).begin());
+      }
+      m.warm_start_fit(x, y, 20, &ThreadPool::shared());
+    }
+    return m;
+  }();
+  return model;
+}
+
 // The serve hot path: one row at a time through the thread-local-scratch
 // overload, rotating through the fixture's rows so branch history and
 // caches see real traffic. Asserts the steady state allocates nothing.
-void BM_GbtPredictRowServe(benchmark::State& state) {
+void predict_row_serve(benchmark::State& state, const ml::GbtRegressor& model) {
   const auto& f = MethodFixture::get();
-  const auto compiled = ml::CompiledEnsemble::compile(serve_gbt_model());
+  const auto compiled = ml::CompiledEnsemble::compile(model);
   std::vector<double> out(compiled.n_outputs());
   // Warm the thread-local scratch so the timed loop is steady state.
   compiled.predict_row(f.x.row(0), out);
@@ -275,8 +290,18 @@ void BM_GbtPredictRowServe(benchmark::State& state) {
   }
   if (allocated) state.SkipWithError("predict_row allocated on the hot path");
   state.counters["nodes"] = static_cast<double>(compiled.n_nodes());
+  state.counters["word_bits"] = static_cast<double>(compiled.word_bits());
+}
+
+void BM_GbtPredictRowServe(benchmark::State& state) {
+  predict_row_serve(state, serve_gbt_model());
 }
 BENCHMARK(BM_GbtPredictRowServe)->Unit(benchmark::kMicrosecond);
+
+void BM_GbtPredictRowServeRefit(benchmark::State& state) {
+  predict_row_serve(state, refit_gbt_model());
+}
+BENCHMARK(BM_GbtPredictRowServeRefit)->Unit(benchmark::kMicrosecond);
 
 const ml::RandomForest& predict_forest_model() {
   static const ml::RandomForest model = [] {
@@ -284,9 +309,8 @@ const ml::RandomForest& predict_forest_model() {
     ml::ForestOptions options;
     options.n_trees = 25;
     // Histogram split search: the thresholds then come from <= max_bins
-    // bin edges per feature, so the compiled engine is the bin-code pool.
-    // (Exact-grown forests mint too many distinct thresholds for the uint8
-    // cut table and keep the exact pool.)
+    // bin edges per feature, so the pool takes the 32-bit word (an
+    // exact-grown forest mints more than 255 cuts and takes the 64-bit one).
     options.method = ml::TreeMethod::kHist;
     ml::RandomForest m(options);
     m.fit(f.x, f.y);

@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <filesystem>
+#include <stdexcept>
 
 #include "common/atomic_file.hpp"
 #include "common/contract.hpp"
@@ -40,9 +41,10 @@ std::string train_fingerprint(const ml::GbtOptions& o, std::size_t rows,
        format_double(o.gamma) + " " + format_double(o.min_child_weight) + " " +
        format_double(o.subsample) + " " + format_double(o.colsample) + " " +
        std::to_string(static_cast<int>(o.objective)) + " " +
-       format_double(o.huber_delta) + " " +
-       std::to_string(static_cast<int>(o.tree_method)) + " " +
-       std::to_string(o.max_bins) + " " + std::to_string(o.seed) + "\n";
+       format_double(o.huber_delta) +
+       // The split-search method field: 1 is histogram search, the only
+       // one, so existing manifests keep matching.
+       " 1 " + std::to_string(o.max_bins) + " " + std::to_string(o.seed) + "\n";
   return s;
 }
 
@@ -172,7 +174,21 @@ CrossArchPredictor CrossArchPredictor::from_text(std::string_view text) {
   predictor.pipeline_ = FeaturePipeline::deserialize(text.substr(0, pos));
   predictor.model_ =
       ml::GbtRegressor::deserialize(text.substr(pos + kSectionMarker.size()));
-  predictor.recompile();
+  // predict() feeds the model the pipeline's feature vector and reads one
+  // ratio per system back, so the model must map exactly those shapes.
+  if (predictor.model_.n_features() != FeaturePipeline::kNumFeatures ||
+      predictor.model_.n_outputs() != arch::kNumSystems) {
+    throw ParseError("predictor model maps " +
+                     std::to_string(predictor.model_.n_features()) + " features to " +
+                     std::to_string(predictor.model_.n_outputs()) + " outputs; want " +
+                     std::to_string(FeaturePipeline::kNumFeatures) + " to " +
+                     std::to_string(arch::kNumSystems));
+  }
+  try {
+    predictor.recompile();
+  } catch (const std::length_error& e) {
+    throw ParseError(std::string("predictor model: ") + e.what());
+  }
   return predictor;
 }
 

@@ -1,5 +1,6 @@
 #include "data/csv.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -174,14 +175,23 @@ Table read_csv(std::istream& in, const std::vector<std::string>& text_columns) {
       std::vector<double> values;
       values.reserve(records.size());
       for (std::size_t r = 0; r < records.size(); ++r) {
+        const auto where = [&] {
+          return " (column '" + header[c] + "', data row " + std::to_string(r + 1) + ")";
+        };
+        double v = 0.0;
         try {
-          values.push_back(parse_double(records[r][c]));
+          v = parse_double(records[r][c]);
         } catch (const ParseError& e) {
           // Unreachable while inference scans every row; kept so a future
           // forced-numeric path still reports where the bad cell is.
-          throw ParseError(std::string(e.what()) + " (column '" + header[c] +
-                           "', data row " + std::to_string(r + 1) + ")");
+          throw ParseError(std::string(e.what()) + where());
         }
+        // "nan" and "inf" parse as doubles but are no measurement; a fit
+        // would reject them later, so report the cell where it enters.
+        if (!std::isfinite(v)) {
+          throw ParseError("non-finite value '" + records[r][c] + "'" + where());
+        }
+        values.push_back(v);
       }
       table.add_numeric_column(header[c], std::move(values));
     }

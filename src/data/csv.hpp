@@ -24,7 +24,7 @@ void write_csv_file(const Table& table, const std::string& path);
 
 /// Reads a CSV; columns named in `text_columns` are read as text, all
 /// others must parse as doubles. Throws mphpc::ParseError on malformed
-/// input.
+/// input, including a `nan` or `inf` cell in a numeric column.
 [[nodiscard]] Table read_csv(std::istream& in,
                              const std::vector<std::string>& text_columns = {});
 

@@ -21,9 +21,10 @@
 
 namespace mphpc::ml {
 
-/// Split search strategy shared by every tree trainer: exact-greedy over
-/// pre-sorted raw values, or histogram sweeps over quantile-binned values
-/// (faster, near-identical accuracy).
+/// Split search strategy of the CART trainers (DecisionTree, RandomForest):
+/// exact-greedy over pre-sorted raw values, or histogram sweeps over
+/// quantile-binned values (faster, near-identical accuracy). GBT always
+/// uses histogram sweeps.
 enum class TreeMethod : std::uint8_t { kExact = 0, kHist = 1 };
 
 /// Histogram bin count actually used by a fit: `configured` when nonzero,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #if defined(__AVX512F__)
@@ -24,34 +26,6 @@ std::size_t tree_output_width(const DecisionTree& tree) {
     if (node.is_leaf()) return node.value.size();
   }
   MPHPC_UNREACHABLE("fitted tree has no leaf");
-}
-
-/// Longest root-to-leaf edge count — the fixed walk length of a tree.
-/// Child links always point forward (trainers append children after their
-/// parent; deserialization rejects anything else), so one forward pass
-/// settles every node's longest path before its children read it. A path
-/// enumeration would be exponential on a model file whose node graph shares
-/// children (a chain of diamonds).
-template <typename Node>
-std::int32_t tree_depth(const std::vector<Node>& nodes) {
-  std::vector<std::int32_t> depth(nodes.size(), -1);  // -1: unreachable
-  depth[0] = 0;
-  std::int32_t max_depth = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (depth[i] < 0) continue;
-    const Node& node = nodes[i];
-    if (node.is_leaf()) {
-      max_depth = std::max(max_depth, depth[i]);
-      continue;
-    }
-    for (const int child : {node.left, node.right}) {
-      MPHPC_ASSERT(static_cast<std::size_t>(child) > i &&
-                   static_cast<std::size_t>(child) < nodes.size());
-      auto& d = depth[static_cast<std::size_t>(child)];
-      d = std::max(d, depth[i] + 1);
-    }
-  }
-  return max_depth;
 }
 
 /// CART leaf payload: appends the leaf's value vector to `values` and
@@ -123,99 +97,42 @@ void CompiledEnsemble::build_pools(const std::vector<const std::vector<Node>*>& 
   for (const std::vector<Node>* nodes : trees) n_nodes_ += nodes->size();
   MPHPC_EXPECTS(n_nodes_ <
                 static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  roots_.reserve(trees.size());
-  depth_.reserve(trees.size());
-  std::size_t origin = 0;
-  for (const std::vector<Node>* nodes : trees) {
-    roots_.push_back(static_cast<std::int32_t>(origin));
-    depth_.push_back(tree_depth(*nodes));
-    origin += nodes->size();
-  }
-  quantize_note_ = build_cut_tables(trees);
-  quantized_ = quantize_note_.empty();
-  if (quantized_) {
-    build_bin_code_pool(trees, payload);
-  } else {
-    build_exact_pool(trees, payload);
-  }
-}
-
-template <typename Node>
-std::string CompiledEnsemble::build_cut_tables(
-    const std::vector<const std::vector<Node>*>& trees) {
-  if (n_features_ > std::numeric_limits<std::uint16_t>::max()) {
-    return "feature count exceeds uint16";
-  }
-  std::vector<std::vector<double>> cuts(n_features_);
-  std::vector<std::uint32_t> parents;
-  for (const std::vector<Node>* nodes : trees) {
-    if (nodes->size() > std::size_t{std::numeric_limits<std::uint16_t>::max()}) {
-      return "a tree has more than 65535 nodes";
-    }
-    // The BFS renumbering below needs a true tree: every node but the
-    // root has exactly one parent (a deserialized node graph may share a
-    // child between parents, or leave nodes unreachable).
-    parents.assign(nodes->size(), 0);
-    for (const Node& node : *nodes) {
-      if (node.is_leaf()) continue;
-      cuts[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
-      ++parents[static_cast<std::size_t>(node.left)];
-      ++parents[static_cast<std::size_t>(node.right)];
-    }
-    for (std::size_t i = 0; i < parents.size(); ++i) {
-      if (parents[i] != (i == 0 ? 0U : 1U)) {
-        return "a tree node does not have exactly one parent";
-      }
-    }
-  }
-  // Per-feature sorted distinct cut tables from the fitted thresholds.
-  cut_begin_.assign(1, 0);
-  for (std::vector<double>& fc : cuts) {
-    std::sort(fc.begin(), fc.end());
-    fc.erase(std::unique(fc.begin(), fc.end()), fc.end());
-    // A node's cut index must fit uint8 and a row code #{cuts < v} can be
-    // n_cuts itself, so both need n_cuts <= 255.
-    if (fc.size() > 255) {
-      cuts_.clear();
-      cut_begin_.clear();
-      return "a feature has more than 255 distinct thresholds";
-    }
-    cuts_.insert(cuts_.end(), fc.begin(), fc.end());
-    cut_begin_.push_back(static_cast<std::uint32_t>(cuts_.size()));
-  }
-  return "";
-}
-
-template <typename Node, typename Payload>
-void CompiledEnsemble::build_bin_code_pool(
-    const std::vector<const std::vector<Node>*>& trees, const Payload& payload) {
   // Encode tree by tree, renumbering nodes in BFS order so an internal
   // node's children land adjacent (left at child_base, right at
   // child_base + 1 — the walk step is then one add off a flag), and pack
-  // each node into a single word: 32 bits when the feature index fits
-  // uint8, 64 bits otherwise. Leaves get cut = 255, an index no internal
-  // node can carry (cut indices stop at 254 because a feature has at most
-  // 255 cuts), so `code > 255` is always false and the leaf self-loops
-  // through its own child_base. BFS visits nodes in output order, so each
-  // node's word is appended as it is dequeued.
-  const bool narrow = n_features_ <= 255;
+  // each node into a single word: feature | cut << bits | child << 2*bits.
+  // Leaves get the all-ones cut, an index no internal node can carry, so
+  // `code > cut` is always false and the leaf self-loops through its own
+  // child_base. BFS visits nodes in output order, so each node's word is
+  // appended as it is dequeued; a node's BFS level is its depth, and the
+  // deepest leaf sets the tree's walk length.
+  const bool narrow = build_cut_tables(trees);
+  const unsigned bits = narrow ? 8 : 16;
+  const std::uint64_t leaf_cut = (std::uint64_t{1} << bits) - 1;
   if (narrow) {
     q_node32_.reserve(n_nodes_);
   } else {
     q_node64_.reserve(n_nodes_);
   }
   q_payload_.reserve(n_nodes_);
+  roots_.reserve(trees.size());
+  depth_.reserve(trees.size());
   std::vector<std::uint32_t> order;  // order[new_local] = old_local
+  std::vector<std::int32_t> level;   // level[new_local] = depth
   for (const std::vector<Node>* nodes : trees) {
+    roots_.push_back(static_cast<std::int32_t>(q_payload_.size()));
+    std::int32_t depth = 0;
     order.assign(1, 0);
+    level.assign(1, 0);
     for (std::size_t head = 0; head < order.size(); ++head) {
       const Node& node = (*nodes)[order[head]];
       std::uint64_t feat = 0;
-      std::uint64_t cut = 255;
+      std::uint64_t cut = leaf_cut;
       std::uint64_t child = head;  // a leaf loops to itself
       double leaf_payload = 0.0;
       if (node.is_leaf()) {
         leaf_payload = payload(node);
+        depth = std::max(depth, level[head]);
       } else {
         // A threshold's cut index is its own code: #{cuts < threshold}.
         const auto f = static_cast<std::size_t>(node.feature);
@@ -224,49 +141,61 @@ void CompiledEnsemble::build_bin_code_pool(
         child = order.size();
         order.push_back(static_cast<std::uint32_t>(node.left));
         order.push_back(static_cast<std::uint32_t>(node.right));
+        level.insert(level.end(), 2, level[head] + 1);
       }
+      const std::uint64_t word = feat | (cut << bits) | (child << (2 * bits));
       if (narrow) {
-        q_node32_.push_back(static_cast<std::uint32_t>(feat | (cut << 8) | (child << 16)));
+        q_node32_.push_back(static_cast<std::uint32_t>(word));
       } else {
-        q_node64_.push_back(feat | (cut << 16) | (child << 32));
+        q_node64_.push_back(word);
       }
       q_payload_.push_back(leaf_payload);
     }
+    // Every node is visited once: the trees are true trees.
+    MPHPC_ASSERT(order.size() == nodes->size());
+    depth_.push_back(depth);
   }
 }
 
-template <typename Node, typename Payload>
-void CompiledEnsemble::build_exact_pool(const std::vector<const std::vector<Node>*>& trees,
-                                        const Payload& payload) {
-  feature_.reserve(n_nodes_);
-  threshold_.reserve(n_nodes_);
-  left_.reserve(n_nodes_);
-  right_.reserve(n_nodes_);
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const std::int32_t origin = roots_[t];
-    std::int32_t local = 0;
-    for (const Node& node : *trees[t]) {
-      if (node.is_leaf()) {
-        // Self-loop leaf: extra walk steps are no-ops; the payload rides
-        // in the threshold slot.
-        feature_.push_back(0);
-        threshold_.push_back(payload(node));
-        left_.push_back(origin + local);
-        right_.push_back(origin + local);
-      } else {
-        feature_.push_back(node.feature);
-        threshold_.push_back(node.threshold);
-        left_.push_back(origin + node.left);
-        right_.push_back(origin + node.right);
+template <typename Node>
+bool CompiledEnsemble::build_cut_tables(
+    const std::vector<const std::vector<Node>*>& trees) {
+  // A 64-bit word's feature field holds indices up to 65535.
+  if (n_features_ > std::size_t{1} << 16) {
+    throw std::length_error("compiled ensemble: more than 65536 features");
+  }
+  bool narrow = n_features_ <= 255;
+  std::vector<std::vector<double>> cuts(n_features_);
+  for (const std::vector<Node>* nodes : trees) {
+    narrow = narrow && nodes->size() <= std::numeric_limits<std::uint16_t>::max();
+    for (const Node& node : *nodes) {
+      if (!node.is_leaf()) {
+        cuts[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
       }
-      ++local;
     }
   }
+  // Per-feature sorted distinct cut tables from the fitted thresholds. A
+  // row code #{cuts < v} can be the cut count itself, so a word's code
+  // and cut fields hold a feature with up to 255 (32-bit) or 65535
+  // (64-bit) cuts, with the all-ones cut left free to mark leaves.
+  cut_begin_.assign(1, 0);
+  for (std::vector<double>& fc : cuts) {
+    std::sort(fc.begin(), fc.end());
+    fc.erase(std::unique(fc.begin(), fc.end()), fc.end());
+    if (fc.size() > std::numeric_limits<std::uint16_t>::max()) {
+      throw std::length_error(
+          "compiled ensemble: a feature has more than 65535 distinct thresholds");
+    }
+    narrow = narrow && fc.size() <= 255;
+    cuts_.insert(cuts_.end(), fc.begin(), fc.end());
+    cut_begin_.push_back(static_cast<std::uint32_t>(cuts_.size()));
+  }
+  return narrow;
 }
 
 template <typename Word>
 void CompiledEnsemble::walk_group(const Word* pool, std::size_t t,
-                                  const std::uint8_t* codes,
+                                  const Code<Word>* codes,
                                   std::array<std::uint32_t, kGroup>& leaf) const noexcept {
   // The group walks as long as its deepest tree; a shallower tree's walk
   // parks on its self-looping leaf for the remaining steps.
@@ -284,7 +213,7 @@ void CompiledEnsemble::walk_group(const Word* pool, std::size_t t,
 }
 
 template <typename Word>
-void CompiledEnsemble::predict_codes_row(const Word* pool, const std::uint8_t* codes,
+void CompiledEnsemble::predict_codes_row(const Word* pool, const Code<Word>* codes,
                                          double* out) const noexcept {
   std::array<std::uint32_t, kGroup> leaf;
   if (kind_ == Kind::kGbt) {
@@ -322,141 +251,62 @@ void CompiledEnsemble::predict_codes_row(const Word* pool, const std::uint8_t* c
   }
 }
 
-void CompiledEnsemble::predict_tile(const Matrix& x, std::size_t lo,
-                                    std::size_t hi, Matrix& out) const {
-  // Mask-and-blend select: a ternary here is if-converted to cmov in some
-  // inlining contexts but lowered to a data-dependent branch in others,
-  // and balanced splits mispredict ~50% of the time. The arithmetic form
-  // cannot be turned back into a jump.
-  const auto step = [this](std::int32_t node, const double* xr) noexcept {
-    const auto i = static_cast<std::size_t>(node);
-    const std::int32_t go_left = left_[i];
-    const std::int32_t go_right = right_[i];
-    const std::int32_t take_left = -static_cast<std::int32_t>(
-        xr[static_cast<std::size_t>(feature_[i])] <= threshold_[i]);
-    return (go_left & take_left) | (go_right & ~take_left);
-  };
-  const auto walk_lanes = [&](std::int32_t root, std::int32_t steps,
-                              const std::array<const double*, kLanes>& xr,
-                              std::array<std::int32_t, kLanes>& n) {
-    n.fill(root);
-    for (std::int32_t s = 0; s < steps; ++s) {
-      for (std::size_t l = 0; l < kLanes; ++l) n[l] = step(n[l], xr[l]);
-    }
-  };
-  if (kind_ == Kind::kGbt) {
-    // Lane group outer, trees inner: the group's row pointers and running
-    // sums live in registers across the whole ensemble, so per-tree cost
-    // is the walk plus one add — not a round trip through `out`. One
-    // output's trees (~tens of KB of nodes) stay L1/L2-resident per sweep.
-    // Accumulation order per (row, output) is base + trees in boosting
-    // order, exactly the reference order.
-    for (std::size_t k = 0; k < n_outputs_; ++k) {
-      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      std::size_t r = lo;
-      std::array<const double*, kLanes> xr;
-      std::array<std::int32_t, kLanes> n;
-      std::array<double, kLanes> acc;
-      for (; r + kLanes <= hi; r += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-        acc.fill(base_[k]);
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          walk_lanes(roots_[t], depth_[t], xr, n);
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc[l] += threshold_[static_cast<std::size_t>(n[l])];
-          }
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) out(r + l, k) = acc[l];
-      }
-      for (; r < hi; ++r) {
-        double sum = base_[k];
-        const double* xr1 = x.row(r).data();
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = walk(roots_[t], depth_[t], xr1);
-          sum += threshold_[static_cast<std::size_t>(leaf)];
-        }
-        out(r, k) = sum;
-      }
-    }
-    return;
-  }
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t root = roots_[t];
-    const std::int32_t steps = depth_[t];
-    const auto add_leaf = [&](std::size_t r, std::int32_t leaf) {
-      const double* v =
-          values_.data() +
-          static_cast<std::size_t>(threshold_[static_cast<std::size_t>(leaf)]);
-      double* dst = out.row(r).data();
-      for (std::size_t k = 0; k < value_width_; ++k) dst[k] += v[k];
-    };
-    std::size_t r = lo;
-    std::array<const double*, kLanes> xr;
-    std::array<std::int32_t, kLanes> n;
-    for (; r + kLanes <= hi; r += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-      walk_lanes(root, steps, xr, n);
-      for (std::size_t l = 0; l < kLanes; ++l) add_leaf(r + l, n[l]);
-    }
-    for (; r < hi; ++r) add_leaf(r, walk(root, steps, x.row(r).data()));
-  }
-  if (kind_ == Kind::kForestMean) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      for (double& v : out.row(r)) v /= n_trees_;
-    }
+template <typename Word>
+void CompiledEnsemble::predict_rows(const Word* pool, const Matrix& x,
+                                    std::size_t begin, std::size_t end,
+                                    Matrix& out) const {
+  // One code buffer per chunk, reused across its tiles: the only
+  // allocation the batch path makes. The +4 pad keeps the vector walk's
+  // dword gather of the last code byte inside the buffer (it masks the
+  // extra bytes off; they are never used).
+  std::vector<Code<Word>> codes(kTile * n_features_ + 4);
+  for (std::size_t lo = begin; lo < end; lo += kTile) {
+    const std::size_t hi = std::min(end, lo + kTile);
+    bin_tile(x, lo, hi, codes.data());
+    walk_tile_quantized(pool, lo, hi, out, codes.data());
   }
 }
 
-void CompiledEnsemble::predict_tile_quantized(const Matrix& x, std::size_t lo,
-                                              std::size_t hi, Matrix& out,
-                                              std::uint8_t* codes) const {
-  // Bin the tile once: every later tree walk reads uint8 codes, so the
-  // per-row hot state is n_features_ bytes (a 512-row tile of 21 features
-  // is ~10 KB — the whole tile stays L1-resident across the ensemble).
-  // Eight rows chop in lock-step per feature: they share one cut table
-  // and one range width, so every probe is eight independent masked adds
-  // off a hot table — no mispredicted compares (bin_row's scalar chop,
-  // serial per feature, would cost as much as the tree walks it feeds).
-  {
-    std::size_t r = lo;
-    std::array<const double*, kLanes> xr;
-    std::array<const double*, kLanes> base;
-    std::array<double, kLanes> v;
-    for (; r + kLanes <= hi; r += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-      std::uint8_t* crow = codes + (r - lo) * n_features_;
-      for (std::size_t f = 0; f < n_features_; ++f) {
-        const double* start = cuts_.data() + cut_begin_[f];
-        std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+template <typename C>
+void CompiledEnsemble::bin_tile(const Matrix& x, std::size_t lo, std::size_t hi,
+                                C* codes) const {
+  // Bin the tile once: every later tree walk reads the codes, so the
+  // per-row hot state is n_features_ codes (a 512-row tile of 21 features
+  // is ~10 KB of uint8 codes — the whole tile stays L1-resident across the
+  // ensemble). Eight rows chop in lock-step per feature: they share one
+  // cut table and one range width, so every probe is eight independent
+  // masked adds off a hot table — no mispredicted compares (bin_row's
+  // scalar chop, serial per feature, would cost as much as the tree walks
+  // it feeds).
+  std::size_t r = lo;
+  std::array<const double*, kLanes> xr;
+  std::array<const double*, kLanes> base;
+  std::array<double, kLanes> v;
+  for (; r + kLanes <= hi; r += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
+    C* crow = codes + (r - lo) * n_features_;
+    for (std::size_t f = 0; f < n_features_; ++f) {
+      const double* start = cuts_.data() + cut_begin_[f];
+      std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        base[l] = start;
+        v[l] = xr[l][f];
+      }
+      while (n > 1) {
+        const std::size_t half = n / 2;
         for (std::size_t l = 0; l < kLanes; ++l) {
-          base[l] = start;
-          v[l] = xr[l][f];
+          base[l] += half & (0 - static_cast<std::size_t>(base[l][half - 1] < v[l]));
         }
-        while (n > 1) {
-          const std::size_t half = n / 2;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            base[l] += half & (0 - static_cast<std::size_t>(base[l][half - 1] <
-                                                            v[l]));
-          }
-          n -= half;
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const std::size_t below = n == 1 && base[l][0] < v[l] ? 1 : 0;
-          crow[l * n_features_ + f] = static_cast<std::uint8_t>(
-              static_cast<std::size_t>(base[l] - start) + below);
-        }
+        n -= half;
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::size_t below = n == 1 && base[l][0] < v[l] ? 1 : 0;
+        crow[l * n_features_ + f] =
+            static_cast<C>(static_cast<std::size_t>(base[l] - start) + below);
       }
     }
-    for (; r < hi; ++r) {
-      bin_row(x.row(r).data(), codes + (r - lo) * n_features_);
-    }
   }
-  if (!q_node32_.empty()) {
-    walk_tile_quantized(q_node32_.data(), lo, hi, out, codes);
-  } else {
-    walk_tile_quantized(q_node64_.data(), lo, hi, out, codes);
-  }
+  for (; r < hi; ++r) bin_row(x.row(r).data(), codes + (r - lo) * n_features_);
 }
 
 #if defined(__AVX512F__)
@@ -520,11 +370,10 @@ inline void quad_row_offsets(std::size_t first_row, std::size_t n_features,
 }  // namespace
 #endif  // __AVX512F__
 
-// Same lane-group shape as the exact kernel, but a walk step is two
-// loads (the packed node word + the row's code byte) and a handful of
-// integer ops per lane instead of five scattered loads — the eight
-// lock-step lanes keep both load ports busy on a far smaller pool.
-// When the build targets AVX-512 and the pool is 32-bit, full 64-row
+// Lane groups of kLanes rows walk each tree in lock-step: a walk step is
+// two loads (the packed node word + the row's code) and a handful of
+// integer ops per lane, and the eight independent chains keep both load
+// ports busy. When the build targets AVX-512 and the pool is 32-bit, full 64-row
 // quads take the gather-based vector walk instead (identical integer
 // arithmetic and FP accumulation order, so results stay bit-identical);
 // the scalar lanes then only mop up the tile remainder. Rows left over
@@ -532,7 +381,7 @@ inline void quad_row_offsets(std::size_t first_row, std::size_t n_features,
 template <typename Word>
 void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
                                            std::size_t hi, Matrix& out,
-                                           const std::uint8_t* codes) const {
+                                           const Code<Word>* codes) const {
   std::size_t scalar_lo = lo;  // rows below it were served by the vector path
 #if defined(__AVX512F__)
   if constexpr (sizeof(Word) == 4) {
@@ -603,7 +452,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
     for (std::size_t k = 0; k < n_outputs_; ++k) {
       const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
       const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      std::array<const std::uint8_t*, kLanes> qr;
+      std::array<const Code<Word>*, kLanes> qr;
       std::array<std::uint32_t, kLanes> local;
       std::array<double, kLanes> acc;
       for (std::size_t r = scalar_lo; r < lanes_hi; r += kLanes) {
@@ -632,7 +481,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
       const Word* qn = pool + static_cast<std::size_t>(roots_[t]);
       const double* qp = q_payload_.data() + static_cast<std::size_t>(roots_[t]);
       const std::int32_t steps = depth_[t];
-      std::array<const std::uint8_t*, kLanes> qr;
+      std::array<const Code<Word>*, kLanes> qr;
       std::array<std::uint32_t, kLanes> local;
       for (std::size_t r = scalar_lo; r < lanes_hi; r += kLanes) {
         for (std::size_t l = 0; l < kLanes; ++l) {
@@ -671,20 +520,10 @@ Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
   MPHPC_EXPECTS(x.cols() == n_features_);
   Matrix out(x.rows(), n_outputs_);
   const auto run_rows = [&](std::size_t row_begin, std::size_t row_end) {
-    if (quantized_) {
-      // One code buffer per chunk, reused across its tiles: the only
-      // allocation the bin-code batch path makes. The +4 pad keeps the
-      // vector walk's dword gather of the last code byte inside the
-      // buffer (it masks the extra bytes off; they are never used).
-      std::vector<std::uint8_t> codes(kTile * n_features_ + 4);
-      for (std::size_t lo = row_begin; lo < row_end; lo += kTile) {
-        predict_tile_quantized(x, lo, std::min(row_end, lo + kTile), out,
-                               codes.data());
-      }
-      return;
-    }
-    for (std::size_t lo = row_begin; lo < row_end; lo += kTile) {
-      predict_tile(x, lo, std::min(row_end, lo + kTile), out);
+    if (!q_node32_.empty()) {
+      predict_rows(q_node32_.data(), x, row_begin, row_end, out);
+    } else {
+      predict_rows(q_node64_.data(), x, row_begin, row_end, out);
     }
   };
   if (pool != nullptr && x.rows() >= kLanes) {
@@ -717,40 +556,15 @@ void CompiledEnsemble::predict_row(std::span<const double> x,
   MPHPC_EXPECTS(compiled());
   MPHPC_EXPECTS(out.size() == n_outputs_);
   MPHPC_EXPECTS(x.size() == n_features_);
-  if (quantized_) {
-    if (scratch.codes.size() < n_features_) scratch.codes.resize(n_features_);
-    std::uint8_t* codes = scratch.codes.data();
-    bin_row(x.data(), codes);
-    if (!q_node32_.empty()) {
-      predict_codes_row(q_node32_.data(), codes, out.data());
-    } else {
-      predict_codes_row(q_node64_.data(), codes, out.data());
-    }
-    return;
-  }
-  if (kind_ == Kind::kGbt) {
-    for (std::size_t k = 0; k < n_outputs_; ++k) {
-      double acc = base_[k];
-      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      for (std::size_t t = t_begin; t < t_end; ++t) {
-        const std::int32_t leaf = walk(roots_[t], depth_[t], x.data());
-        acc += threshold_[static_cast<std::size_t>(leaf)];
-      }
-      out[k] = acc;
-    }
-    return;
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t leaf = walk(roots_[t], depth_[t], x.data());
-    const double* v =
-        values_.data() +
-        static_cast<std::size_t>(threshold_[static_cast<std::size_t>(leaf)]);
-    for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
-  }
-  if (kind_ == Kind::kForestMean) {
-    for (double& v : out) v /= n_trees_;
+  const auto run = [&](const auto* pool, auto& codes) {
+    if (codes.size() < n_features_) codes.resize(n_features_);
+    bin_row(x.data(), codes.data());
+    predict_codes_row(pool, codes.data(), out.data());
+  };
+  if (!q_node32_.empty()) {
+    run(q_node32_.data(), scratch.codes);
+  } else {
+    run(q_node64_.data(), scratch.wide_codes);
   }
 }
 

@@ -35,202 +35,45 @@ struct SplitCandidate {
   double gain = 0.0;
   double threshold = 0.0;
   int feature = -1;
-  int bin = -1;  ///< kHist: last bin going left (codes <= bin)
+  int bin = -1;  ///< last bin going left (codes <= bin)
 };
 
-/// Per-fit shared context: the method-specific view of X (global feature
-/// pre-sort for kExact; quantile bin codes for kHist, column-major for the
-/// node partition and row-major for histograms and bin-code walks) plus the
-/// pool for in-tree per-feature parallelism. The pool is used at one level
-/// only: a multi-output fit fans out over outputs, so its trees run serially.
+/// Per-fit shared context: the quantile bin codes of X, column-major for
+/// the node partition and row-major for histograms and bin-code walks, plus
+/// the pool for in-tree per-feature parallelism. The pool is used at one
+/// level only: a multi-output fit fans out over outputs, so its trees run
+/// serially.
 struct BuildContext {
   const Matrix& x;
-  std::vector<std::vector<std::uint32_t>> sorted;  ///< kExact: [feature] order
-  std::optional<BinnedMatrix> binned;  ///< kHist: uint8 codes, column-major
-  hist::Layout layout;                 ///< kHist: ragged (G, H) layout
-  /// kHist, row-major: [row * features + feature] = the cell's histogram
-  /// bin, i.e. its feature's layout offset plus its code, so a row finds
-  /// its bin in every feature's histogram slice with one load.
+  BinnedMatrix binned;  ///< uint8 codes, column-major
+  hist::Layout layout;  ///< ragged (G, H) layout
+  /// Row-major: [row * features + feature] = the cell's histogram bin, i.e.
+  /// its feature's layout offset plus its code, so a row finds its bin in
+  /// every feature's histogram slice with one load.
   std::vector<std::uint32_t> row_bins;
   ThreadPool* pool = nullptr;  ///< in-tree pool (null: serial trees)
 
   BuildContext(const Matrix& matrix, const GbtOptions& opt, ThreadPool* p,
                std::size_t n_out)
-      : x(matrix), pool(n_out > 1 ? nullptr : p) {
+      : x(matrix),
+        binned(BinnedMatrix::build(x, opt.max_bins, p)),
+        layout(hist::Layout::make(binned, 2)),
+        pool(n_out > 1 ? nullptr : p) {
     const std::size_t n = x.rows();
     const std::size_t n_feat = x.cols();
-    if (opt.tree_method == GbtTreeMethod::kHist) {
-      binned.emplace(BinnedMatrix::build(x, opt.max_bins, p));
-      layout = hist::Layout::make(*binned, 2);
-      row_bins.resize(n * n_feat);
-      for (std::size_t f = 0; f < n_feat; ++f) {
-        const std::uint8_t* codes = binned->codes(f);
-        const auto offset = static_cast<std::uint32_t>(layout.offsets[f]);
-        for (std::size_t r = 0; r < n; ++r) row_bins[r * n_feat + f] = offset + codes[r];
-      }
-      return;
-    }
-    sorted.resize(n_feat);
+    row_bins.resize(n * n_feat);
     for (std::size_t f = 0; f < n_feat; ++f) {
-      auto& order = sorted[f];
-      order.resize(n);
-      std::iota(order.begin(), order.end(), std::uint32_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&, f](std::uint32_t a, std::uint32_t b) {
-                         return x(a, f) < x(b, f);
-                       });
+      const std::uint8_t* codes = binned.codes(f);
+      const auto offset = static_cast<std::uint32_t>(layout.offsets[f]);
+      for (std::size_t r = 0; r < n; ++r) row_bins[r * n_feat + f] = offset + codes[r];
     }
   }
 
-  /// Histogram bins of row r, one per feature (kHist).
+  /// Histogram bins of row r, one per feature.
   [[nodiscard]] const std::uint32_t* bins_of_row(std::size_t r) const noexcept {
     return row_bins.data() + r * x.cols();
   }
 };
-
-/// Builds one boosted tree with exact-greedy splits on the in-sample rows
-/// with gradients g and hessians h, accumulating split gains into
-/// `gain_sum`/`split_count`. Reference implementation for kHist.
-GbtTree build_tree_exact(const BuildContext& ctx, const GbtOptions& opt,
-                   std::span<const double> g, std::span<const double> h,
-                   std::span<const std::uint8_t> in_sample,
-                   std::span<const std::uint8_t> in_cols,
-                   std::span<double> gain_sum, std::span<double> split_count) {
-  const Matrix& x = ctx.x;
-  const std::size_t n = x.rows();
-  const std::size_t n_feat = x.cols();
-
-  GbtTree tree;
-  tree.nodes.emplace_back();
-
-  // node_of[row] = current node, or -1 if the row is out-of-sample.
-  std::vector<std::int32_t> node_of(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (!in_sample[r]) node_of[r] = -1;
-  }
-
-  std::vector<std::int32_t> level_nodes = {0};
-  // Per-node G/H, indexed by node id (grows as nodes are added).
-  std::vector<double> node_g = {0.0};
-  std::vector<double> node_h = {0.0};
-  for (std::size_t r = 0; r < n; ++r) {
-    if (node_of[r] == 0) {
-      node_g[0] += g[r];
-      node_h[0] += h[r];
-    }
-  }
-
-  for (int depth = 0; depth < opt.max_depth && !level_nodes.empty(); ++depth) {
-    const std::size_t n_dense = level_nodes.size();
-    std::vector<std::int32_t> dense_of(tree.nodes.size(), -1);
-    for (std::size_t d = 0; d < n_dense; ++d) {
-      dense_of[static_cast<std::size_t>(level_nodes[d])] = static_cast<std::int32_t>(d);
-    }
-
-    std::vector<double> parent_score(n_dense);
-    std::vector<std::uint8_t> may_split(n_dense);
-    for (std::size_t d = 0; d < n_dense; ++d) {
-      const auto node = static_cast<std::size_t>(level_nodes[d]);
-      parent_score[d] = node_g[node] * node_g[node] / (node_h[node] + opt.lambda);
-      may_split[d] = node_h[node] >= 2.0 * opt.min_child_weight ? 1 : 0;
-    }
-
-    // Sweep every active feature; keep the per-feature best per node and
-    // reduce in feature order for determinism.
-    std::vector<SplitCandidate> bests(n_feat * n_dense);
-    for (std::size_t f = 0; f < n_feat; ++f) {
-      if (!in_cols[f]) continue;
-      std::vector<double> gl(n_dense, 0.0);
-      std::vector<double> hl(n_dense, 0.0);
-      std::vector<double> prev(n_dense, 0.0);
-      std::vector<std::uint8_t> has_prev(n_dense, 0);
-      SplitCandidate* best = &bests[f * n_dense];
-
-      for (const std::uint32_t r : ctx.sorted[f]) {
-        const std::int32_t node = node_of[r];
-        if (node < 0) continue;
-        const std::int32_t d32 = dense_of[static_cast<std::size_t>(node)];
-        if (d32 < 0) continue;
-        const auto d = static_cast<std::size_t>(d32);
-        if (!may_split[d]) continue;
-        const double v = x(r, f);
-        const auto nid = static_cast<std::size_t>(node);
-
-        if (has_prev[d] && v > prev[d] && hl[d] >= opt.min_child_weight &&
-            node_h[nid] - hl[d] >= opt.min_child_weight) {
-          const double gr = node_g[nid] - gl[d];
-          const double hr = node_h[nid] - hl[d];
-          const double gain = 0.5 * (gl[d] * gl[d] / (hl[d] + opt.lambda) +
-                                     gr * gr / (hr + opt.lambda) - parent_score[d]) -
-                              opt.gamma;
-          if (gain > best[d].gain) {
-            best[d] = {gain, 0.5 * (prev[d] + v), static_cast<int>(f)};
-          }
-        }
-        gl[d] += g[r];
-        hl[d] += h[r];
-        prev[d] = v;
-        has_prev[d] = 1;
-      }
-    }
-
-    std::vector<SplitCandidate> winner(n_dense);
-    for (std::size_t f = 0; f < n_feat; ++f) {
-      for (std::size_t d = 0; d < n_dense; ++d) {
-        const SplitCandidate& c = bests[f * n_dense + d];
-        if (c.feature >= 0 && c.gain > winner[d].gain) winner[d] = c;
-      }
-    }
-
-    std::vector<std::int32_t> next_level;
-    bool any_split = false;
-    for (std::size_t d = 0; d < n_dense; ++d) {
-      const SplitCandidate& w = winner[d];
-      if (w.feature < 0 || w.gain <= 0.0) continue;
-      const auto node = static_cast<std::size_t>(level_nodes[d]);
-      tree.nodes[node].feature = w.feature;
-      tree.nodes[node].threshold = w.threshold;
-      tree.nodes[node].left = static_cast<int>(tree.nodes.size());
-      tree.nodes[node].right = static_cast<int>(tree.nodes.size() + 1);
-      next_level.push_back(static_cast<std::int32_t>(tree.nodes.size()));
-      next_level.push_back(static_cast<std::int32_t>(tree.nodes.size() + 1));
-      tree.nodes.emplace_back();
-      tree.nodes.emplace_back();
-      node_g.resize(tree.nodes.size(), 0.0);
-      node_h.resize(tree.nodes.size(), 0.0);
-      gain_sum[static_cast<std::size_t>(w.feature)] += w.gain;
-      split_count[static_cast<std::size_t>(w.feature)] += 1.0;
-      any_split = true;
-    }
-    if (!any_split) break;
-
-    // Re-partition rows and accumulate child G/H.
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::int32_t node = node_of[r];
-      if (node < 0) continue;
-      const GbtNode& parent = tree.nodes[static_cast<std::size_t>(node)];
-      if (parent.is_leaf()) continue;
-      const std::int32_t child =
-          x(r, static_cast<std::size_t>(parent.feature)) <= parent.threshold
-              ? parent.left
-              : parent.right;
-      node_of[r] = child;
-      node_g[static_cast<std::size_t>(child)] += g[r];
-      node_h[static_cast<std::size_t>(child)] += h[r];
-    }
-    level_nodes = std::move(next_level);
-  }
-
-  // Leaf weights: w* = -G/(H+lambda), shrunk by the learning rate.
-  for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
-    if (!tree.nodes[i].is_leaf()) continue;
-    tree.nodes[i].weight =
-        -node_g[i] / (node_h[i] + opt.lambda) * opt.learning_rate;
-  }
-  return tree;
-}
-
-// ---------------------------------------------------------------- kHist ----
 
 /// Per-node histogram: interleaved (G, H) per (feature, bin), laid out
 /// raggedly via hist::Layout (width 2) so near-constant features (one-hots,
@@ -304,7 +147,7 @@ struct HistLevel {
   std::vector<Histogram> hists;     ///< per dense index
 };
 
-/// Level-wise histogram tree builder (kHist). One instance builds one
+/// Level-wise histogram tree builder. One instance builds one
 /// boosted tree; shared per-tree state lives here so each level step stays
 /// small. In-sample rows live in a hist::NodePartition: one ascending
 /// array, stably partitioned so that every node owns a contiguous range
@@ -332,7 +175,7 @@ struct HistTreeBuilder {
                   std::span<const std::uint8_t> in_sample,
                   std::span<const std::uint8_t> cols,
                   std::span<double> gains, std::span<double> counts)
-      : opt(options), ctx(context), bm(*context.binned), g(grad), h(hess),
+      : opt(options), ctx(context), bm(context.binned), g(grad), h(hess),
         in_cols(cols), gain_sum(gains), split_count(counts),
         layout(context.layout) {
     std::vector<std::uint32_t> rows;
@@ -624,9 +467,13 @@ inline void gradients(GbtObjective objective, double delta, double pred, double 
 /// corrupt model could otherwise read out of bounds or cycle forever:
 /// every internal node must reference a real feature and strictly-forward
 /// in-range children (forward links make the node graph acyclic), and
-/// leaves must not carry children.
+/// leaves must not carry children. The graph must also be a tree — every
+/// node but the root has exactly one parent — which the compiled
+/// ensemble's BFS layout relies on (a shared child would be laid out twice
+/// and an orphan never).
 void validate_tree_topology(const GbtTree& tree, std::size_t n_feat) {
   const auto n_nodes = static_cast<long long>(tree.nodes.size());
+  std::vector<std::uint8_t> parents(tree.nodes.size(), 0);
   for (std::size_t node = 0; node < tree.nodes.size(); ++node) {
     const GbtNode& gn = tree.nodes[node];
     const std::string at = "gbt: node " + std::to_string(node);
@@ -644,6 +491,18 @@ void validate_tree_topology(const GbtTree& tree, std::size_t n_feat) {
     if (gn.left <= self || gn.left >= n_nodes || gn.right <= self ||
         gn.right >= n_nodes) {
       throw ParseError(at + ": child links must point forward and in range");
+    }
+    for (const int child : {gn.left, gn.right}) {
+      auto& count = parents[static_cast<std::size_t>(child)];
+      if (count++ != 0) {
+        throw ParseError("gbt: node " + std::to_string(child) +
+                         " has more than one parent");
+      }
+    }
+  }
+  for (std::size_t node = 1; node < parents.size(); ++node) {
+    if (parents[node] == 0) {
+      throw ParseError("gbt: node " + std::to_string(node) + " has no parent");
     }
   }
 }
@@ -685,7 +544,7 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
   MPHPC_EXPECTS(options_.n_rounds >= 1 && options_.max_depth >= 1);
   MPHPC_EXPECTS(options_.subsample > 0.0 && options_.subsample <= 1.0);
   MPHPC_EXPECTS(options_.colsample > 0.0 && options_.colsample <= 1.0);
-  MPHPC_EXPECTS(options_.tree_method == GbtTreeMethod::kExact || options_.max_bins == 0 ||
+  MPHPC_EXPECTS(options_.max_bins == 0 ||
                 (options_.max_bins >= 2 && options_.max_bins <= BinnedMatrix::kMaxBins));
   MPHPC_EXPECTS(checkpoint_every >= 0);
 
@@ -779,17 +638,9 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
       fill_sample_mask(st.rng, st.in_sample, n, n_rows_sampled);
       fill_sample_mask(st.rng, st.in_cols, n_feat, n_cols_sampled);
 
-      if (options_.tree_method == GbtTreeMethod::kHist) {
-        ensemble.push_back(build_tree_hist(ctx, build_opt, st.g, st.h, st.in_sample,
-                                           st.in_cols, gain_by_output_[k],
-                                           count_by_output_[k], st.pred));
-        continue;
-      }
-      GbtTree tree = build_tree_exact(ctx, build_opt, st.g, st.h, st.in_sample,
-                                      st.in_cols, gain_by_output_[k],
-                                      count_by_output_[k]);
-      for (std::size_t r = 0; r < n; ++r) st.pred[r] += tree.predict(x.row(r));
-      ensemble.push_back(std::move(tree));
+      ensemble.push_back(build_tree_hist(ctx, build_opt, st.g, st.h, st.in_sample,
+                                         st.in_cols, gain_by_output_[k],
+                                         count_by_output_[k], st.pred));
     }
   };
 
@@ -886,9 +737,7 @@ std::string GbtRegressor::serialize() const {
   MPHPC_EXPECTS(fitted());
   std::string out = "gbt " + std::to_string(ensembles_.size()) + " " +
                     std::to_string(n_features_) + "\n";
-  out += std::string("method ") +
-         (options_.tree_method == GbtTreeMethod::kHist ? "hist" : "exact") + " " +
-         std::to_string(options_.max_bins) + "\n";
+  out += "method hist " + std::to_string(options_.max_bins) + "\n";
   out += "base";
   for (const double b : base_score_) {
     out += ' ';
@@ -967,11 +816,7 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
   auto base_or_method = split(next_line(), ' ');
   if (!base_or_method.empty() && base_or_method[0] == "method") {
     if (base_or_method.size() != 3) throw ParseError("gbt: bad method line");
-    if (base_or_method[1] == "hist") {
-      model.options_.tree_method = GbtTreeMethod::kHist;
-    } else if (base_or_method[1] == "exact") {
-      model.options_.tree_method = GbtTreeMethod::kExact;
-    } else {
+    if (base_or_method[1] != "hist") {
       throw ParseError("gbt: unknown tree method '" + base_or_method[1] + "'");
     }
     const long long bins = parse_int(base_or_method[2]);

@@ -6,26 +6,23 @@
 //   gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ] - gamma
 //   leaf weight w* = -G / (H + lambda)
 //
-// Two split-search methods are available. kExact sweeps every distinct
-// value of every feature over a global pre-sort (the reference
-// implementation). kHist — the default — quantizes each feature into at
-// most max_bins quantile bins once per fit (ml/binning.hpp) and keeps a
-// row-major copy of the codes. A node's gradient/hessian histogram is
-// filled in one pass over its rows for all features, so each row's
-// gradient and hessian load once (only the features sampled for the tree
-// are swept); each split pair's larger child is
-// derived by subtracting the smaller child's histogram from the parent's,
-// and bin boundaries are swept instead of rows. After each tree, in-sample
-// rows take their leaf's weight from the node partition's leaf ranges and
-// out-of-sample rows walk the tree on their bin codes, so no round walks
-// the raw feature values. kHist needs finite feature values (binning
-// rejects NaN and infinities).
+// Split search is histogram-based (XGBoost's `hist` method): each feature
+// is quantized into at most max_bins quantile bins once per fit
+// (ml/binning.hpp) and a row-major copy of the codes is kept. A node's
+// gradient/hessian histogram is filled in one pass over its rows for all
+// features, so each row's gradient and hessian load once (only the
+// features sampled for the tree are swept); each split pair's larger child
+// is derived by subtracting the smaller child's histogram from the
+// parent's, and bin boundaries are swept instead of rows. After each tree,
+// in-sample rows take their leaf's weight from the node partition's leaf
+// ranges and out-of-sample rows walk the tree on their bin codes, so no
+// round walks the raw feature values. Fits need finite feature values
+// (binning rejects NaN and infinities).
 //
 // The ThreadPool is used at one level only: over outputs when there are
 // several, otherwise over blocks of features inside each tree. Candidates
 // reduce in fixed feature order and every histogram cell sums its rows in
-// partition order, so fits are bit-identical at any thread count in both
-// methods.
+// partition order, so fits are bit-identical at any thread count.
 //
 // Multi-output targets train one additive ensemble per output; feature
 // importances are the average split gain per feature, averaged over the
@@ -40,17 +37,11 @@
 #include <functional>
 #include <string_view>
 
-#include "ml/binning.hpp"
 #include "ml/model.hpp"
 
 namespace mphpc::ml {
 
 enum class GbtObjective : std::uint8_t { kSquaredError = 0, kPseudoHuber = 1 };
-
-/// Split search strategy (ml/binning.hpp): exact-greedy over pre-sorted raw
-/// values, or histogram sweeps over quantile-binned values (faster,
-/// near-identical accuracy; see the header comment).
-using GbtTreeMethod = TreeMethod;
 
 struct GbtOptions {
   int n_rounds = 400;          ///< boosting rounds per output
@@ -66,8 +57,7 @@ struct GbtOptions {
   /// smooth-|r| training objective.
   GbtObjective objective = GbtObjective::kSquaredError;
   double huber_delta = 1.0;    ///< pseudo-Huber transition scale
-  GbtTreeMethod tree_method = GbtTreeMethod::kHist;
-  /// Histogram bins per feature (2..256, kHist). 64 quantile bins resolve
+  /// Histogram bins per feature (2..256). 64 quantile bins resolve
   /// the counter datasets' split structure to well under the exact-greedy
   /// noise floor while keeping per-node histograms cache-resident — the
   /// right default for paper-sized campaigns. 0 means auto: scale with

@@ -439,9 +439,6 @@ std::string ServeCore::stats_reply(std::string_view id) {
   const auto snapshot = guard_.snapshot();
   w.field("model_rounds",
           snapshot == nullptr ? 0 : snapshot->model().rounds_completed());
-  // Which inference engine serves: the bin-code pool for every model that
-  // fits its code ranges, the exact pool otherwise.
-  w.field("quantized", snapshot != nullptr && snapshot->compiled().quantized());
   w.begin_object("counters");
   w.field("predicts", predicts_.load(std::memory_order_relaxed));
   w.field("feedbacks", feedbacks_.load(std::memory_order_relaxed));

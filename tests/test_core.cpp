@@ -8,6 +8,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/system_catalog.hpp"
@@ -410,6 +411,42 @@ sim::RunProfile sample_profile() {
   const auto inputs = workload::make_inputs(app, 1, 321);
   return profiler.profile(app, inputs[0], workload::ScaleClass::kOneNode,
                           systems.get("quartz"));
+}
+
+/// Model text for a GBT of single-leaf trees with the given shape.
+std::string leaf_model_text(std::size_t n_out, std::size_t n_feat) {
+  std::string text = "gbt " + std::to_string(n_out) + " " + std::to_string(n_feat) +
+                     "\nmethod hist 64\nbase";
+  for (std::size_t k = 0; k < n_out; ++k) text += " 0.5";
+  for (const char* line : {"\nimportance_gain", "\nimportance_count"}) {
+    text += line;
+    for (std::size_t f = 0; f < n_feat; ++f) text += " 0";
+  }
+  text += "\n";
+  for (std::size_t k = 0; k < n_out; ++k) {
+    text += "tree " + std::to_string(k) + " 1\n-1 0 -1 -1 0.25\n";
+  }
+  return text;
+}
+
+TEST_F(DatasetTest, FromTextRejectsModelOfWrongShape) {
+  // The pipeline emits 21 features and predict() reads one ratio per
+  // system, so a model of any other shape must fail to load, not to predict.
+  const std::string text = saved_predictor_text(dataset(), "shape");
+  const std::size_t marker = text.find("=== model ===");
+  ASSERT_NE(marker, std::string::npos);
+  const std::string pipeline = text.substr(0, marker) + "=== model ===\n";
+  const CrossArchPredictor good =
+      CrossArchPredictor::from_text(pipeline + leaf_model_text(4, 21));
+  EXPECT_DOUBLE_EQ(good.predict(sample_profile())[0], 0.75);
+  for (const auto& [n_out, n_feat] :
+       {std::pair{1, 3}, std::pair{4, 20}, std::pair{3, 21}, std::pair{5, 21}}) {
+    EXPECT_THROW((void)CrossArchPredictor::from_text(
+                     pipeline + leaf_model_text(static_cast<std::size_t>(n_out),
+                                                static_cast<std::size_t>(n_feat))),
+                 ParseError)
+        << n_out << " outputs, " << n_feat << " features";
+  }
 }
 
 TEST(GuardedPredictor, DefaultConstructedIsDegraded) {

@@ -196,6 +196,27 @@ TEST(Csv, MalformedRowReportsLineNumber) {
   }
 }
 
+TEST(Csv, NonFiniteCellsRejectedWithColumnAndRow) {
+  // nan/inf parse as doubles, so they keep the column numeric and are
+  // rejected there instead of turning the column into text.
+  for (const char* cell : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    std::istringstream in(std::string("a,b\n1,2\n3,") + cell + "\n");
+    try {
+      (void)read_csv(in);
+      FAIL() << "expected ParseError for " << cell;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("column 'b'"), std::string::npos) << what;
+      EXPECT_NE(what.find("data row 2"), std::string::npos) << what;
+    }
+  }
+  // A column that is text anyway may hold the word.
+  std::istringstream text("name,v\nnan,1\nfoo,2\n");
+  const Table t = read_csv(text);
+  EXPECT_EQ(t.column_type("name"), ColumnType::kText);
+  EXPECT_EQ(t.text("name")[0], "nan");
+}
+
 TEST(Csv, UnterminatedQuoteThrows) {
   std::istringstream in("a\n\"unterminated\n");
   EXPECT_THROW(read_csv(in), ParseError);

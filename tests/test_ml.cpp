@@ -2,6 +2,7 @@
 // synthetic problems with known structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -426,18 +427,22 @@ TEST(Gbt, DeserializeRejectsGarbage) {
 }
 
 TEST(Gbt, DeterministicAcrossThreadCounts) {
+  // The pool fans out over outputs when there are several and over feature
+  // blocks inside each tree otherwise; either way the fitted model's bytes
+  // match a serial fit's, sampling included. (HistDeterministicAcross-
+  // ThreadCounts below compares predictions at 2 and 8 threads.)
   const Problem p = make_problem(250, 0.4, 21);
-  // Exact mode; the histogram default has its own 1/2/8-thread test below.
   GbtOptions options = small_gbt();
-  options.tree_method = GbtTreeMethod::kExact;
-  GbtRegressor serial(options);
-  serial.fit(p.x, p.y, nullptr);
+  options.subsample = 0.8;
+  options.colsample = 0.7;
   ThreadPool pool(4);
-  GbtRegressor parallel(options);
-  parallel.fit(p.x, p.y, &pool);
-  const Matrix a = serial.predict(p.x);
-  const Matrix b = parallel.predict(p.x);
-  for (std::size_t i = 0; i < a.flat().size(); ++i) EXPECT_EQ(a.flat()[i], b.flat()[i]);
+  for (const Matrix& y : {p.y, Matrix(p.y.rows(), 1, p.y.column(0))}) {
+    GbtRegressor serial(options);
+    serial.fit(p.x, y, nullptr);
+    GbtRegressor parallel(options);
+    parallel.fit(p.x, y, &pool);
+    EXPECT_EQ(serial.serialize(), parallel.serialize()) << y.cols() << " outputs";
+  }
 }
 
 TEST(Gbt, PredictRejectsWrongFeatureCount) {
@@ -457,7 +462,6 @@ TEST(Gbt, RejectsInvalidOptions) {
 
 TEST(Gbt, RejectsInvalidMaxBins) {
   GbtOptions bad = small_gbt();
-  bad.tree_method = GbtTreeMethod::kHist;
   bad.max_bins = 1;
   GbtRegressor model(bad);
   const Problem p = make_problem(50, 0.0, 23);
@@ -467,8 +471,7 @@ TEST(Gbt, RejectsInvalidMaxBins) {
 TEST(Gbt, HistFitRejectsNonFiniteFeatures) {
   // A bin code must route a row the way the raw test `x <= threshold`
   // does; NaN fails every such test, so binning it would disagree.
-  GbtOptions options = small_gbt();
-  options.tree_method = GbtTreeMethod::kHist;
+  const GbtOptions options = small_gbt();
   ForestOptions forest_options;
   forest_options.n_trees = 2;
   forest_options.method = TreeMethod::kHist;
@@ -501,7 +504,6 @@ TEST(Gbt, ResolveMaxBinsAutoScalesWithRows) {
 TEST(Gbt, AutoMaxBinsFitsAndRoundTrips) {
   const Problem p = make_problem(300, 0.2, 24);
   GbtOptions options = small_gbt();
-  options.tree_method = GbtTreeMethod::kHist;
   options.max_bins = 0;  // auto
   GbtRegressor model(options);
   model.fit(p.x, p.y);
@@ -649,63 +651,16 @@ TEST(Gbt, WarmStartRejectsUnfittedAndBadShapes) {
   EXPECT_THROW(model.warm_start_fit(narrow, p.y, 5), ContractViolation);
 }
 
-// --------------------------------------------------- gbt: hist vs exact ----
-
-GbtOptions gbt_with(GbtTreeMethod method) {
-  GbtOptions o = small_gbt();
-  o.tree_method = method;
-  return o;
-}
-
-// Mirrors the counter-dataset regime the histogram method targets: the
-// discontinuous target sits on a low-cardinality feature (lossless to
-// bin), while the smooth targets ride on continuous features where
-// quantile quantization only perturbs thresholds slightly. A step target
-// on a continuous feature is deliberately excluded — a bin-width sliver
-// next to the step takes the full jump as error, which is an inherent
-// histogram-method property, not a parity bug.
-Problem make_binnable_problem(std::size_t n, double noise, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix x(n, 3);
-  Matrix y(n, 2);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double x0 = std::floor(rng.uniform() * 40.0) / 40.0;  // 40 levels
-    const double x1 = rng.uniform();
-    x(r, 0) = x0;
-    x(r, 1) = x1;
-    x(r, 2) = rng.uniform();  // irrelevant feature
-    y(r, 0) = 3.0 * x0 - 2.0 * x1 + 1.0 + noise * (rng.uniform() - 0.5);
-    y(r, 1) = (x0 > 0.5 ? 4.0 : 0.0) + noise * (rng.uniform() - 0.5);
-  }
-  return {std::move(x), std::move(y)};
-}
-
-TEST(Gbt, HistMatchesExactAccuracy) {
-  const Problem train = make_binnable_problem(600, 0.1, 26);
-  const Problem test = make_binnable_problem(250, 0.1, 27);
-  GbtRegressor exact(gbt_with(GbtTreeMethod::kExact));
-  exact.fit(train.x, train.y);
-  GbtRegressor hist(gbt_with(GbtTreeMethod::kHist));
-  hist.fit(train.x, train.y);
-
-  const Matrix pe = exact.predict(test.x);
-  const Matrix ph = hist.predict(test.x);
-  const double rmse_e = root_mean_squared_error(test.y, pe);
-  const double rmse_h = root_mean_squared_error(test.y, ph);
-  EXPECT_LT(std::abs(rmse_h - rmse_e), 0.02 * rmse_e);
-  const double r2_e = r2_score(test.y, pe);
-  const double r2_h = r2_score(test.y, ph);
-  EXPECT_LT(std::abs(r2_h - r2_e), 0.02 * std::abs(r2_e));
-}
+// ---------------------------------------------- gbt: bins and threads ----
 
 TEST(Gbt, HistSerializeRoundTripsPredictionsAndOptions) {
   const Problem p = make_problem(300, 0.2, 28);
-  GbtOptions options = gbt_with(GbtTreeMethod::kHist);
+  GbtOptions options = small_gbt();
   options.max_bins = 32;
   GbtRegressor model(options);
   model.fit(p.x, p.y);
+  EXPECT_NE(model.serialize().find("\nmethod hist 32\n"), std::string::npos);
   const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
-  EXPECT_EQ(restored.options().tree_method, GbtTreeMethod::kHist);
   EXPECT_EQ(restored.options().max_bins, 32);
   const Matrix a = model.predict(p.x);
   const Matrix b = restored.predict(p.x);
@@ -716,7 +671,7 @@ TEST(Gbt, HistSerializeRoundTripsPredictionsAndOptions) {
 
 TEST(Gbt, HistDeterministicAcrossThreadCounts) {
   const Problem p = make_problem(250, 0.4, 29);
-  const GbtOptions options = gbt_with(GbtTreeMethod::kHist);
+  const GbtOptions options = small_gbt();
   GbtRegressor serial(options);
   serial.fit(p.x, p.y, nullptr);
   const Matrix a = serial.predict(p.x);
@@ -821,6 +776,9 @@ TEST(Gbt, DeserializeRejectsBadMethodLine) {
   };
   EXPECT_THROW(GbtRegressor::deserialize(with_method("method sketchy 64\n")),
                ParseError);
+  // Exact split search is gone; a model claiming it is unknown.
+  EXPECT_THROW(GbtRegressor::deserialize(with_method("method exact 64\n")),
+               ParseError);
   EXPECT_THROW(GbtRegressor::deserialize(with_method("method hist 1\n")),
                ParseError);
   EXPECT_THROW(GbtRegressor::deserialize(with_method("method hist 9999\n")),
@@ -828,6 +786,19 @@ TEST(Gbt, DeserializeRejectsBadMethodLine) {
   // Models serialized before the method line existed still load.
   const GbtRegressor legacy = GbtRegressor::deserialize(with_method(""));
   EXPECT_TRUE(legacy.fitted());
+}
+
+TEST(Gbt, DeserializeRejectsNonTreeGraphs) {
+  // Forward, in-range links still allow a graph that is not a tree: a node
+  // with two parents (here both leaves of two siblings), a node whose two
+  // links name the same child, or an orphan no link reaches.
+  for (const char* block : {"tree 0 5\n0 0.5 1 2 0\n0 0.25 3 4 0\n0 0.75 3 4 0\n"
+                            "-1 0 -1 -1 1.5\n-1 0 -1 -1 -2\n",
+                            "tree 0 2\n0 0.5 1 1 0\n-1 0 -1 -1 1\n",
+                            "tree 0 4\n0 0.5 1 2 0\n-1 0 -1 -1 0.25\n"
+                            "-1 0 -1 -1 -0.25\n-1 0 -1 -1 9\n"}) {
+    EXPECT_THROW(GbtRegressor::deserialize(model_text(block)), ParseError) << block;
+  }
 }
 
 TEST(Gbt, DeserializeRejectsTreeForUnknownOutput) {
@@ -840,6 +811,29 @@ TEST(Gbt, DeserializeRejectsTreeForUnknownOutput) {
 }
 
 // --------------------------------------------- tree/forest: hist vs exact ----
+
+// Mirrors the counter-dataset regime the histogram method targets: the
+// discontinuous target sits on a low-cardinality feature (lossless to
+// bin), while the smooth targets ride on continuous features where
+// quantile quantization only perturbs thresholds slightly. A step target
+// on a continuous feature is deliberately excluded — a bin-width sliver
+// next to the step takes the full jump as error, which is an inherent
+// histogram-method property, not a parity bug.
+Problem make_binnable_problem(std::size_t n, double noise, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(n, 3);
+  Matrix y(n, 2);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double x0 = std::floor(rng.uniform() * 40.0) / 40.0;  // 40 levels
+    const double x1 = rng.uniform();
+    x(r, 0) = x0;
+    x(r, 1) = x1;
+    x(r, 2) = rng.uniform();  // irrelevant feature
+    y(r, 0) = 3.0 * x0 - 2.0 * x1 + 1.0 + noise * (rng.uniform() - 0.5);
+    y(r, 1) = (x0 > 0.5 ? 4.0 : 0.0) + noise * (rng.uniform() - 0.5);
+  }
+  return {std::move(x), std::move(y)};
+}
 
 // Like make_binnable_problem, but every feature is low-cardinality: with
 // bins >= levels the quantile binning is lossless, which is the regime
@@ -981,7 +975,12 @@ std::string serialize_forest(const RandomForest& forest) {
     for (const TreeNode& node : tree.nodes()) {
       out += std::to_string(node.feature) + " " + format_double(node.threshold) +
              " " + std::to_string(node.left) + " " + std::to_string(node.right);
-      for (const double v : node.value) out += " " + format_double(v);
+      // Appended piecewise: GCC 12's -Wrestrict misfires on `" " +
+      // format_double(v)` here under Release inlining.
+      for (const double v : node.value) {
+        out += ' ';
+        out += format_double(v);
+      }
       out += "\n";
     }
   }
@@ -995,7 +994,6 @@ TEST(TrainingGolden, MultiOutputHistGbtSubsampled) {
   options.max_depth = 6;
   options.subsample = 0.8;
   options.colsample = 0.6;
-  options.tree_method = GbtTreeMethod::kHist;
   ThreadPool pool(3);
   for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     GbtRegressor model(options);
@@ -1013,7 +1011,6 @@ TEST(TrainingGolden, PseudoHuberHistGbt) {
   options.max_depth = 7;
   options.objective = GbtObjective::kPseudoHuber;
   options.huber_delta = 0.5;
-  options.tree_method = GbtTreeMethod::kHist;
   ThreadPool pool(3);
   for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     GbtRegressor model(options);
@@ -1048,33 +1045,100 @@ void expect_matrices_identical(const Matrix& a, const Matrix& b) {
   }
 }
 
-/// predict_row must agree bit-for-bit with the reference predictions too.
+/// predict_row must agree bit-for-bit with the reference predictions too,
+/// through the thread-local overload and through one caller-owned scratch
+/// reused across every row.
 void expect_row_parity(const CompiledEnsemble& compiled, const Matrix& x,
                        const Matrix& reference) {
   std::vector<double> row(compiled.n_outputs());
+  CompiledEnsemble::RowScratch scratch;
   for (std::size_t r = 0; r < x.rows(); ++r) {
     compiled.predict_row(x.row(r), row);
     for (std::size_t k = 0; k < row.size(); ++k) {
       EXPECT_EQ(row[k], reference(r, k)) << "row " << r << " output " << k;
     }
+    compiled.predict_row(x.row(r), row, scratch);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(row[k], reference(r, k)) << "row " << r << " output " << k << " (scratch)";
+    }
   }
 }
 
+/// Holds a compiled model to bit-identity with its reference walker on
+/// `x`: batched on the calling thread and on 1-, 2- and 8-thread pools,
+/// and one row at a time.
+template <typename Model>
+void expect_full_parity(const CompiledEnsemble& compiled, const Model& model,
+                        const Matrix& x) {
+  const Matrix reference = model.predict(x);
+  expect_matrices_identical(compiled.predict(x, nullptr), reference);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    expect_matrices_identical(compiled.predict(x, &pool), reference);
+  }
+  expect_row_parity(compiled, x, reference);
+}
+
+/// Most distinct split thresholds on any one feature of a GBT.
+std::size_t max_distinct_cuts(const GbtRegressor& model) {
+  std::vector<std::vector<double>> cuts(model.n_features());
+  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
+    for (const GbtTree& tree : model.ensemble(k)) {
+      for (const GbtNode& node : tree.nodes) {
+        if (!node.is_leaf()) {
+          cuts[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
+        }
+      }
+    }
+  }
+  std::size_t most = 0;
+  for (std::vector<double>& c : cuts) {
+    std::sort(c.begin(), c.end());
+    most = std::max(most, static_cast<std::size_t>(
+                              std::unique(c.begin(), c.end()) - c.begin()));
+  }
+  return most;
+}
+
+/// A hist GBT warm-refit for eight generations on fresh windows, as a
+/// serving daemon refits: each window bins to new quantile edges, so each
+/// generation adds cuts, and the model passes 255 cuts on a feature.
+GbtRegressor refit_past_255_cuts(std::uint64_t seed) {
+  const Problem first = make_problem(300, 0.3, seed);
+  GbtRegressor model(small_gbt());
+  model.fit(first.x, first.y);
+  for (std::uint64_t gen = 1; gen <= 8; ++gen) {
+    const Problem window = make_problem(300, 0.3, seed + 1000 * gen);
+    model.warm_start_fit(window.x, window.y, 10);
+  }
+  return model;
+}
+
 TEST(CompiledParity, GbtExactBitIdentical) {
+  // With max_bins 256 on 300 distinct values per feature, the thresholds
+  // are the midpoints between adjacent training values — the candidates
+  // exact-greedy search splits on — and a feature can hold 255 of them:
+  // the 32-bit word's limit, where a row code reaches 255, the leaf
+  // marker's value. One warm refit on fresh rows adds midpoints past it.
   const Problem p = make_problem(300, 0.3, 50);
-  // Enough exact-greedy rounds mint more than 255 midpoint thresholds on a
-  // feature, so this case holds the exact pool, not the bin-code pool, to
-  // parity.
-  GbtOptions options = gbt_with(GbtTreeMethod::kExact);
-  options.n_rounds = 80;
-  options.max_depth = 6;
+  GbtOptions options = small_gbt();
+  options.n_rounds = 120;
+  options.max_depth = 8;
+  options.max_bins = 256;
   GbtRegressor model(options);
   model.fit(p.x, p.y);
+  ASSERT_EQ(max_distinct_cuts(model), 255u);
+  const Problem held = make_problem(200, 0.3, 150);
   const auto compiled = CompiledEnsemble::compile(model);
-  ASSERT_FALSE(compiled.quantized());
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x), reference);
-  expect_row_parity(compiled, p.x, reference);
+  ASSERT_EQ(compiled.word_bits(), 32);
+  expect_full_parity(compiled, model, held.x);
+  expect_full_parity(compiled, model, p.x);
+
+  const Problem window = make_problem(300, 0.3, 250);
+  model.warm_start_fit(window.x, window.y, 20);
+  const auto refit = CompiledEnsemble::compile(model);
+  ASSERT_EQ(refit.word_bits(), 64) << max_distinct_cuts(model);
+  expect_full_parity(refit, model, held.x);
 }
 
 TEST(CompiledParity, GbtHistBitIdentical) {
@@ -1084,12 +1148,12 @@ TEST(CompiledParity, GbtHistBitIdentical) {
   // Batches of 1..9 rows cover the calling-thread small-batch path and a
   // tile remainder behind one full lane group.
   for (const int rounds : {40, 1, 15, 17, 401}) {
-    GbtOptions options = gbt_with(GbtTreeMethod::kHist);
+    GbtOptions options = small_gbt();
     options.n_rounds = rounds;
     GbtRegressor model(options);
     model.fit(p.x, p.y);
     const auto compiled = CompiledEnsemble::compile(model);
-    ASSERT_TRUE(compiled.quantized()) << "rounds=" << rounds;
+    ASSERT_EQ(compiled.word_bits(), 32) << "rounds=" << rounds;
     const Matrix reference = model.predict(p.x);
     expect_matrices_identical(compiled.predict(p.x), reference);
     expect_row_parity(compiled, p.x, reference);
@@ -1156,7 +1220,7 @@ TEST(CompiledParity, SingleLeafConstantTargetBitIdentical) {
 
 TEST(CompiledParity, SerializedModelRecompilesIdentically) {
   const Problem p = make_problem(300, 0.3, 56);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
   expect_matrices_identical(CompiledEnsemble::compile(restored).predict(p.x),
@@ -1164,19 +1228,16 @@ TEST(CompiledParity, SerializedModelRecompilesIdentically) {
 }
 
 TEST(CompiledParity, DeterministicAcrossThreadCounts) {
-  // 700 rows span two 512-row tiles. The hist model gets the bin-code pool;
-  // the 80-round exact model overflows the uint8 cut range, so its tiles
-  // and pool chunks run through the exact pool.
+  // 700 rows span two 512-row tiles. A single hist fit takes the 32-bit
+  // word; the refit model passes 255 cuts on a feature, so its tiles and
+  // pool chunks run on the 64-bit word.
   const Problem p = make_problem(700, 0.3, 57);
   GbtRegressor hist(small_gbt());
-  GbtOptions wide_options = gbt_with(GbtTreeMethod::kExact);
-  wide_options.n_rounds = 80;
-  wide_options.max_depth = 6;
-  GbtRegressor wide(wide_options);
+  hist.fit(p.x, p.y);
+  GbtRegressor wide = refit_past_255_cuts(57);
   for (GbtRegressor* model : {&hist, &wide}) {
-    model->fit(p.x, p.y);
     const auto compiled = CompiledEnsemble::compile(*model);
-    ASSERT_EQ(compiled.quantized(), model == &hist);
+    ASSERT_EQ(compiled.word_bits(), model == &hist ? 32 : 64);
     const Matrix reference = model->predict(p.x);
     expect_matrices_identical(compiled.predict(p.x, nullptr), reference);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -1188,8 +1249,7 @@ TEST(CompiledParity, DeterministicAcrossThreadCounts) {
 
 // ---------------------------------------------- bin-code engine parity ----
 //
-// Every model that fits the bin-code ranges is served by the bin-code pool,
-// and its exact SoA arrays are freed, so these tests hold that engine to
+// The bin-code pool is the only compiled engine, so these tests hold it to
 // bit-identity with the reference walkers (GbtRegressor::predict and
 // friends) on arbitrary rows, on rows sitting exactly on the fitted cut
 // values, and on ensembles whose trees differ wildly in depth.
@@ -1229,12 +1289,10 @@ std::size_t total_nodes(const GbtRegressor& model) {
 
 TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
   const Problem p = make_problem(300, 0.3, 60);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const auto compiled = CompiledEnsemble::compile(model);
-  ASSERT_TRUE(compiled.quantized());
-  EXPECT_TRUE(compiled.quantize_note().empty());
-  // The exact arrays are gone, but the engine still reports every node.
+  ASSERT_EQ(compiled.word_bits(), 32);
   EXPECT_EQ(compiled.n_nodes(), total_nodes(model));
   const Problem held = make_problem(200, 0.3, 61);
   const Matrix reference = model.predict(held.x);
@@ -1244,26 +1302,29 @@ TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
 
 TEST(QuantizedParity, FuzzRandomEnsemblesRandomRows) {
   // Random ensembles x random rows (deliberately outside the training
-  // range): whichever engine the model gets must match the reference.
+  // range): whichever word the model gets must match the reference. Odd
+  // seeds bin finely and then warm-refit on a fresh window, which may push
+  // a feature past 255 cuts.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     GbtOptions options = small_gbt();
     options.n_rounds = 8 + static_cast<int>(seed) * 11;
     options.max_depth = 2 + static_cast<int>(seed % 4);
-    options.tree_method =
-        seed % 2 == 0 ? GbtTreeMethod::kHist : GbtTreeMethod::kExact;
+    options.max_bins = seed % 2 == 0 ? 64 : 256;
     const Problem p = make_problem(250, 0.4, 62 + seed);
     GbtRegressor model(options);
     model.fit(p.x, p.y);
+    if (seed % 2 == 1) {
+      const Problem window = make_problem(250, 0.4, 162 + seed);
+      model.warm_start_fit(window.x, window.y, options.n_rounds);
+    }
     Rng rng(100 + seed);
     Matrix rows(150, 3);
     for (double& v : rows.flat()) v = -0.5 + 2.0 * rng.uniform();
     const auto compiled = CompiledEnsemble::compile(model);
-    if (options.tree_method == GbtTreeMethod::kHist) {
-      // Hist training draws every threshold from <= max_bins bin edges,
-      // so the bin-code pool must always serve. Exact training mints
-      // fresh midpoints every round and may legitimately overflow the
-      // uint8 cut range — then the exact pool serves.
-      ASSERT_TRUE(compiled.quantized()) << compiled.quantize_note();
+    // A single hist fit draws every threshold from <= max_bins - 1 bin
+    // edges, so it always fits the 32-bit word.
+    if (seed % 2 == 0) {
+      ASSERT_EQ(compiled.word_bits(), 32);
     }
     const Matrix reference = model.predict(rows);
     expect_matrices_identical(compiled.predict(rows), reference);
@@ -1276,11 +1337,11 @@ TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
   // their immediate double neighbours) must predict bit-identically to
   // the reference walker, batched and one row at a time.
   const Problem p = make_problem(300, 0.3, 64);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const Matrix rows = threshold_rows(model, p.x);
   const auto compiled = CompiledEnsemble::compile(model);
-  ASSERT_TRUE(compiled.quantized());
+  ASSERT_EQ(compiled.word_bits(), 32);
   const Matrix reference = model.predict(rows);
   expect_matrices_identical(compiled.predict(rows), reference);
   expect_row_parity(compiled, rows, reference);
@@ -1288,10 +1349,10 @@ TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
 
 TEST(QuantizedParity, DeterministicAcrossThreadCounts) {
   const Problem p = make_problem(700, 0.3, 65);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const auto quantized = CompiledEnsemble::compile(model);
-  ASSERT_TRUE(quantized.quantized());
+  ASSERT_EQ(quantized.word_bits(), 32);
   const Matrix reference = quantized.predict(p.x, nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
@@ -1301,22 +1362,22 @@ TEST(QuantizedParity, DeterministicAcrossThreadCounts) {
 
 TEST(QuantizedParity, SerializedModelRecompilesQuantizedIdentically) {
   const Problem p = make_problem(300, 0.3, 66);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
   const auto a = CompiledEnsemble::compile(model);
   const auto b = CompiledEnsemble::compile(restored);
-  ASSERT_TRUE(a.quantized());
-  ASSERT_TRUE(b.quantized());
+  ASSERT_EQ(a.word_bits(), 32);
+  ASSERT_EQ(b.word_bits(), 32);
   expect_matrices_identical(a.predict(p.x), b.predict(p.x));
 }
 
 TEST(QuantizedParity, RowScratchReuseMatchesBatch) {
   const Problem p = make_problem(200, 0.3, 67);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(p.x, p.y);
   const auto quantized = CompiledEnsemble::compile(model);
-  ASSERT_TRUE(quantized.quantized());
+  ASSERT_EQ(quantized.word_bits(), 32);
   const Matrix batch = quantized.predict(p.x);
   CompiledEnsemble::RowScratch scratch;  // reused across every row
   std::vector<double> out(quantized.n_outputs());
@@ -1336,7 +1397,7 @@ TEST(QuantizedParity, DegenerateModels) {
   DecisionTree stump(stump_options);
   stump.fit(p.x, p.y);
   const auto qstump = CompiledEnsemble::compile(stump);
-  ASSERT_TRUE(qstump.quantized());
+  ASSERT_EQ(qstump.word_bits(), 32);
   expect_matrices_identical(qstump.predict(p.x), stump.predict(p.x));
 
   // Single leaf: a constant target collapses every tree (walk length 0).
@@ -1345,16 +1406,16 @@ TEST(QuantizedParity, DegenerateModels) {
   GbtRegressor leaf_gbt(small_gbt());
   leaf_gbt.fit(p.x, constant_y);
   const auto qleaf = CompiledEnsemble::compile(leaf_gbt);
-  ASSERT_TRUE(qleaf.quantized());
+  ASSERT_EQ(qleaf.word_bits(), 32);
   expect_matrices_identical(qleaf.predict(p.x), leaf_gbt.predict(p.x));
 
   // Constant feature: no splits ever touch it, so its cut table is empty.
   Matrix x = p.x;
   for (std::size_t r = 0; r < x.rows(); ++r) x(r, 2) = 1.5;
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  GbtRegressor model(small_gbt());
   model.fit(x, p.y);
   const auto quantized = CompiledEnsemble::compile(model);
-  ASSERT_TRUE(quantized.quantized());
+  ASSERT_EQ(quantized.word_bits(), 32);
   expect_matrices_identical(quantized.predict(x), model.predict(x));
 
   // Mixed tree depths inside one 16-tree group: depth-8 trees, then
@@ -1362,7 +1423,7 @@ TEST(QuantizedParity, DegenerateModels) {
   // depth-8 again. A group walks as long as its deepest tree, so the
   // shallow trees must park on their leaves; rows on the cut values probe
   // every boundary.
-  GbtOptions deep = gbt_with(GbtTreeMethod::kHist);
+  GbtOptions deep = small_gbt();
   deep.max_depth = 8;
   deep.n_rounds = 7;
   GbtRegressor mixed(deep);
@@ -1383,7 +1444,7 @@ TEST(QuantizedParity, DegenerateModels) {
   ASSERT_EQ(mixed.rounds_completed(), 21);
   EXPECT_EQ(mixed.ensemble(0)[13].nodes.size(), 1u);  // a single leaf
   const auto qmixed = CompiledEnsemble::compile(mixed);
-  ASSERT_TRUE(qmixed.quantized());
+  ASSERT_EQ(qmixed.word_bits(), 32);
   for (const Matrix& rows : {p.x, threshold_rows(mixed, p.x)}) {
     const Matrix reference = mixed.predict(rows);
     expect_matrices_identical(qmixed.predict(rows), reference);
@@ -1392,60 +1453,51 @@ TEST(QuantizedParity, DegenerateModels) {
 }
 
 TEST(QuantizedParity, WideModelFallsBackToExact) {
-  // Exact-greedy boosting mints fresh midpoint thresholds every round (the
-  // residuals move, so the chosen splits move): enough rounds on enough
-  // rows exceed 255 distinct cuts on a feature. The engine must keep
-  // serving bit-identically (via the exact pool) and say why it skipped
-  // the bin-code pool. An exact-trained forest overflows the same way.
+  // There is no exact pool to fall back to: the word width follows the
+  // model. Single hist fits of every kind keep the 32-bit word; a GBT
+  // refit past 255 cuts and an exact-trained forest (fresh midpoints in
+  // every tree) take the 64-bit word, still counting every node.
   const Problem p = make_problem(400, 0.4, 69);
-  GbtOptions options = gbt_with(GbtTreeMethod::kExact);
-  options.n_rounds = 80;
-  options.max_depth = 6;
-  GbtRegressor model(options);
-  model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  EXPECT_FALSE(compiled.quantized());
-  EXPECT_FALSE(compiled.quantize_note().empty());
-  EXPECT_EQ(compiled.n_nodes(), total_nodes(model));
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x), reference);
-  expect_row_parity(compiled, p.x, reference);
-
+  GbtRegressor gbt(small_gbt());
+  gbt.fit(p.x, p.y);
+  EXPECT_EQ(CompiledEnsemble::compile(gbt).word_bits(), 32);
   ForestOptions forest_options;
   forest_options.n_trees = 20;
-  forest_options.method = TreeMethod::kExact;
-  RandomForest forest(forest_options);
-  forest.fit(p.x, p.y);
-  const auto compiled_forest = CompiledEnsemble::compile(forest);
-  EXPECT_FALSE(compiled_forest.quantized());
-  const Matrix forest_reference = forest.predict(p.x);
-  expect_matrices_identical(compiled_forest.predict(p.x), forest_reference);
-  expect_row_parity(compiled_forest, p.x, forest_reference);
+  forest_options.method = TreeMethod::kHist;
+  RandomForest hist_forest(forest_options);
+  hist_forest.fit(p.x, p.y);
+  EXPECT_EQ(CompiledEnsemble::compile(hist_forest).word_bits(), 32);
+  TreeOptions tree_options;
+  tree_options.method = TreeMethod::kHist;
+  DecisionTree tree(tree_options);
+  tree.fit(p.x, p.y);
+  EXPECT_EQ(CompiledEnsemble::compile(tree).word_bits(), 32);
 
-  // A model file may hold a node graph that is not a tree: here two parents
-  // share both leaves. Loading accepts it (links point forward and stay in
-  // range) and the reference walker follows it, but the bin-code pool's BFS
-  // layout cannot, so the exact pool serves. A second tree after it would
-  // land at the wrong offset if the layout went ahead anyway.
-  const GbtRegressor shared = GbtRegressor::deserialize(
-      "gbt 1 1\nbase 0.5\nimportance_gain 0\nimportance_count 0\n"
-      "tree 0 5\n0 0.5 1 2 0\n0 0.25 3 4 0\n0 0.75 3 4 0\n"
-      "-1 0 -1 -1 1.5\n-1 0 -1 -1 -2\n"
-      "tree 0 1\n-1 0 -1 -1 0.25\n");
-  const auto compiled_shared = CompiledEnsemble::compile(shared);
-  EXPECT_FALSE(compiled_shared.quantized());
-  EXPECT_FALSE(compiled_shared.quantize_note().empty());
-  const Matrix probe(4, 1, {0.1, 0.3, 0.6, 0.9});
-  const Matrix shared_reference = shared.predict(probe);
-  expect_matrices_identical(compiled_shared.predict(probe), shared_reference);
-  expect_row_parity(compiled_shared, probe, shared_reference);
+  const GbtRegressor refit = refit_past_255_cuts(69);
+  EXPECT_GT(max_distinct_cuts(refit), 255u);
+  const auto compiled_refit = CompiledEnsemble::compile(refit);
+  EXPECT_EQ(compiled_refit.word_bits(), 64);
+  EXPECT_EQ(compiled_refit.n_nodes(), total_nodes(refit));
+  forest_options.method = TreeMethod::kExact;
+  RandomForest exact_forest(forest_options);
+  exact_forest.fit(p.x, p.y);
+  EXPECT_EQ(CompiledEnsemble::compile(exact_forest).word_bits(), 64);
+
+  // A model file whose node graph is not a tree (two parents share both
+  // leaves) would break the BFS layout; loading rejects it.
+  EXPECT_THROW((void)GbtRegressor::deserialize(
+                   "gbt 1 1\nbase 0.5\nimportance_gain 0\nimportance_count 0\n"
+                   "tree 0 5\n0 0.5 1 2 0\n0 0.25 3 4 0\n0 0.75 3 4 0\n"
+                   "-1 0 -1 -1 1.5\n-1 0 -1 -1 -2\n"
+                   "tree 0 1\n-1 0 -1 -1 0.25\n"),
+               ParseError);
 }
 
 TEST(QuantizedParity, SharedDiamondChainCompilesToExactPool) {
   // A hostile model file: 63 internal nodes whose both links point at the
   // next node (a chain of shared diamonds), then one leaf. It has 2^63
-  // root-to-leaf paths, so compiling must measure the walk length without
-  // enumerating them. Shared children rule out the bin-code pool.
+  // root-to-leaf paths; loading rejects it as not a tree, in one pass over
+  // the nodes rather than by enumerating them.
   std::string text =
       "gbt 1 1\nbase 0.5\nimportance_gain 0\nimportance_count 0\ntree 0 64\n";
   for (int i = 0; i < 63; ++i) {
@@ -1453,16 +1505,89 @@ TEST(QuantizedParity, SharedDiamondChainCompilesToExactPool) {
             std::to_string(i + 1) + " 0\n";
   }
   text += "-1 0 -1 -1 1.25\n";
-  const GbtRegressor chain = GbtRegressor::deserialize(text);
-  const auto compiled = CompiledEnsemble::compile(chain);
-  EXPECT_FALSE(compiled.quantized());
-  EXPECT_EQ(compiled.quantize_note(), "a tree node does not have exactly one parent");
-  EXPECT_EQ(compiled.n_nodes(), 64u);
-  const Matrix probe(3, 1, {-1.0, 0.3, 2.0});
-  const Matrix reference = chain.predict(probe);
-  EXPECT_EQ(reference(0, 0), 1.75);
-  expect_matrices_identical(compiled.predict(probe), reference);
-  expect_row_parity(compiled, probe, reference);
+  EXPECT_THROW((void)GbtRegressor::deserialize(text), ParseError);
+}
+
+// ------------------------------------------------- 64-bit word parity ----
+//
+// Models past the 32-bit word's ranges — more than 255 cuts on a feature,
+// more than 255 features, more than 65535 nodes in a tree — take the 64-bit
+// word with uint16 row codes. Each case probes one field past its 32-bit
+// width, with rows on the cut values where a truncated field would route
+// differently.
+
+TEST(WideWordParity, WarmRefitPast255Cuts) {
+  const GbtRegressor model = refit_past_255_cuts(70);
+  ASSERT_GT(max_distinct_cuts(model), 255u);
+  const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_EQ(compiled.word_bits(), 64);
+  expect_full_parity(compiled, model, make_problem(300, 0.3, 71).x);
+  expect_full_parity(compiled, model, threshold_rows(model, make_problem(1, 0.3, 72).x));
+}
+
+TEST(WideWordParity, ExactForest) {
+  const Problem p = make_problem(400, 0.4, 73);
+  ForestOptions options;
+  options.n_trees = 20;
+  options.method = TreeMethod::kExact;
+  RandomForest forest(options);
+  forest.fit(p.x, p.y);
+  const auto compiled = CompiledEnsemble::compile(forest);
+  ASSERT_EQ(compiled.word_bits(), 64);
+  expect_full_parity(compiled, forest, p.x);
+  expect_full_parity(compiled, forest, make_problem(300, 0.4, 74).x);
+}
+
+TEST(WideWordParity, ThreeHundredFeatures) {
+  // The targets ride on features past index 255, so every split the fit
+  // keeps names a feature the 32-bit word's 8-bit field cannot.
+  Rng rng(75);
+  const auto make = [&](std::size_t n) {
+    Problem p{Matrix(n, 300), Matrix(n, 2)};
+    for (double& v : p.x.flat()) v = rng.uniform();
+    for (std::size_t r = 0; r < n; ++r) {
+      p.y(r, 0) = 3.0 * p.x(r, 299) - 2.0 * p.x(r, 260);
+      p.y(r, 1) = p.x(r, 256) > 0.5 ? 4.0 : 0.0;
+    }
+    return p;
+  };
+  const Problem train = make(300);
+  GbtRegressor model(small_gbt());
+  model.fit(train.x, train.y);
+  const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_EQ(compiled.word_bits(), 64);
+  expect_full_parity(compiled, model, make(200).x);
+  expect_full_parity(compiled, model, threshold_rows(model, train.x));
+}
+
+TEST(WideWordParity, LoadedTreeOver65535Nodes) {
+  // A complete depth-16 tree in heap order, 131,071 nodes: node i's
+  // children sit at 2i+1 and 2i+2, so left-child indices pass 65535 from
+  // node 32768 on. Thresholds repeat 199 values and there are two
+  // features, so only the node count forces the 64-bit word. A small tree
+  // follows it, which lands at the right pool offset only if the big one
+  // is laid out whole.
+  constexpr int kInternal = (1 << 16) - 1;
+  constexpr int kNodes = 2 * kInternal + 1;
+  std::string text = "gbt 1 2\nbase 0.5\nimportance_gain 0 0\nimportance_count 0 0\n"
+                     "tree 0 " + std::to_string(kNodes) + "\n";
+  for (int i = 0; i < kInternal; ++i) {
+    text += std::to_string(i % 2) + " " + format_double(((i * 37) % 199 + 0.5) / 199.0) +
+            " " + std::to_string(2 * i + 1) + " " + std::to_string(2 * i + 2) + " 0\n";
+  }
+  for (int i = kInternal; i < kNodes; ++i) {
+    text += "-1 0 -1 -1 " + format_double(0.001 * (i % 997)) + "\n";
+  }
+  text += "tree 0 3\n1 0.5 1 2 0\n-1 0 -1 -1 1\n-1 0 -1 -1 2\n";
+  const GbtRegressor model = GbtRegressor::deserialize(text);
+  ASSERT_LE(max_distinct_cuts(model), 255u);
+  const auto compiled = CompiledEnsemble::compile(model);
+  ASSERT_EQ(compiled.word_bits(), 64);
+  EXPECT_EQ(compiled.n_nodes(), static_cast<std::size_t>(kNodes) + 3);
+  Rng rng(76);
+  Matrix rows(400, 2);
+  for (double& v : rows.flat()) v = rng.uniform();
+  expect_full_parity(compiled, model, rows);
 }
 
 // Parameterized noise sweep: learned models should always beat the mean
