@@ -1,17 +1,13 @@
-// Extension ablations: (a) the k-NN comparator the paper's related work
-// uses for similar tasks, next to the Fig. 2 models; (b) permutation
-// feature importance as a model-agnostic cross-check on the Fig. 6 gain
-// ranking (see EXPERIMENTS.md F6).
+// Permutation feature importance of the ablation GBT, a model-agnostic
+// cross-check on the Fig. 6 gain ranking (see EXPERIMENTS.md F6).
 #include "bench_common.hpp"
 
 #include "core/permutation_importance.hpp"
 #include "data/split.hpp"
-#include "ml/knn_regressor.hpp"
-#include "ml/metrics.hpp"
 
 int main() {
   using namespace mphpc;
-  bench::print_header("Extensions", "k-NN comparator + permutation importance");
+  bench::print_header("Extensions", "permutation importance");
 
   const core::Dataset ds = bench::build_standard_dataset();
   const auto x = ds.features();
@@ -19,35 +15,12 @@ int main() {
   const auto split = data::train_test_split(x.rows(), 0.10, 42);
   const auto x_train = x.select_rows(split.train);
   const auto y_train = y.select_rows(split.train);
-  const auto x_test = x.select_rows(split.test);
-  const auto y_test = y.select_rows(split.test);
 
   Timer timer;
-
-  // --- k-NN vs the boosted trees. ---
-  TablePrinter knn_table({"model", "MAE", "SOS"});
-  JsonWriter json;
-  json.begin_object().field("experiment", "extensions").begin_array("knn");
-  for (const int k : {1, 4, 8, 16}) {
-    ml::KnnOptions options;
-    options.k = k;
-    ml::KnnRegressor model(options);
-    model.fit(x_train, y_train);
-    const auto pred = model.predict(x_test);
-    const double mae = ml::mean_absolute_error(y_test, pred);
-    const double sos = ml::same_order_score(y_test, pred);
-    knn_table.add_row({"knn (k=" + std::to_string(k) + ")", format_fixed(mae, 4),
-                       format_fixed(sos, 4)});
-    json.begin_object().field("k", k).field("mae", mae).field("sos", sos).end_object();
-  }
   ml::GbtRegressor gbt(bench::ablation_gbt_options());
   gbt.fit(x_train, y_train, &ThreadPool::shared());
-  const auto gbt_pred = gbt.predict(x_test);
-  knn_table.add_row({"xgboost (reference)",
-                     format_fixed(ml::mean_absolute_error(y_test, gbt_pred), 4),
-                     format_fixed(ml::same_order_score(y_test, gbt_pred), 4)});
-  knn_table.print();
-  json.end_array();
+  JsonWriter json;
+  json.begin_object().field("experiment", "extensions");
 
   // --- Permutation importance (on a test subsample for speed). ---
   std::vector<std::size_t> sample;
@@ -59,7 +32,7 @@ int main() {
   perm_options.repeats = 2;
   const auto report = core::permutation_report(gbt, x_perm, y_perm, names,
                                                perm_options, &ThreadPool::shared());
-  std::printf("\npermutation importance (MAE increase when shuffled), top 10:\n");
+  std::printf("permutation importance (MAE increase when shuffled), top 10:\n");
   TablePrinter perm_table({"rank", "feature", "delta MAE"});
   json.begin_array("permutation");
   for (std::size_t i = 0; i < report.size() && i < 10; ++i) {

@@ -58,19 +58,6 @@ CheckpointPolicy::KillAccount CheckpointPolicy::account_kill(double elapsed_s,
   return account;
 }
 
-void PerAppCheckpointPlanner::set(const std::string& app,
-                                  const CheckpointPolicy& policy) {
-  MPHPC_EXPECTS(policy.interval_s >= 0.0 && policy.overhead_s >= 0.0);
-  per_app_[app] = policy;
-}
-
-CheckpointPolicy PerAppCheckpointPlanner::policy_for(const Job& job,
-                                                     double now_s) {
-  MPHPC_EXPECTS(now_s >= 0.0);
-  const auto it = per_app_.find(job.app);
-  return it == per_app_.end() ? fallback_ : it->second;
-}
-
 AdaptiveYoungDalyPlanner::AdaptiveYoungDalyPlanner(double overhead_s,
                                                    double prior_mtbf_s,
                                                    double prior_weight)

@@ -18,8 +18,6 @@
 // pre-generated FaultTrace so the two can be composed.
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "sched/faults.hpp"
@@ -82,24 +80,6 @@ class CheckpointPlanner {
 
   /// A node failure was replayed at `time_s`.
   virtual void observe_node_failure(double time_s) { (void)time_s; }
-};
-
-/// Per-application policies with a fallback for unlisted apps: long-running
-/// simulation codes can checkpoint aggressively while short jobs skip the
-/// overhead entirely.
-class PerAppCheckpointPlanner final : public CheckpointPlanner {
- public:
-  explicit PerAppCheckpointPlanner(const CheckpointPolicy& fallback) noexcept
-      : fallback_(fallback) {}
-
-  void set(const std::string& app, const CheckpointPolicy& policy);
-
-  [[nodiscard]] CheckpointPolicy policy_for(const Job& job,
-                                            double now_s) override;
-
- private:
-  CheckpointPolicy fallback_{};
-  std::map<std::string, CheckpointPolicy, std::less<>> per_app_;
 };
 
 /// Adaptive Young/Daly: re-estimates the cluster's per-node MTBF online

@@ -319,21 +319,39 @@ bool Server::read_connection(Connection& conn) {
   const ssize_t n = ::read(conn.fd, buf, sizeof buf);
   if (n == 0) return false;
   if (n < 0) return errno == EINTR || errno == EAGAIN;
-  conn.buffer.append(buf, static_cast<std::size_t>(n));
-
-  std::size_t pos = 0;
-  while ((pos = conn.buffer.find('\n')) != std::string::npos) {
-    const std::string line = conn.buffer.substr(0, pos);
-    conn.buffer.erase(0, pos + 1);
-    if (conn.discarding) {
-      conn.discarding = false;  // the oversized line finally ended
-      continue;
-    }
-    handle_input_line(conn.fd, line);
-  }
-  if (conn.buffer.size() > kMaxLineBytes && !conn.discarding) {
-    write_reply(conn.fd == 0 ? 1 : conn.fd,
+  std::string_view chunk(buf, static_cast<std::size_t>(n));
+  const int reply_fd = conn.fd == 0 ? 1 : conn.fd;
+  const auto reject_oversized = [&] {
+    write_reply(reply_fd,
                 error_reply("", "bad_request", "request line exceeds 1 MiB"));
+  };
+
+  if (conn.discarding) {
+    // The rest of an oversized line is dropped, never buffered.
+    const std::size_t nl = chunk.find('\n');
+    if (nl == std::string_view::npos) return true;
+    conn.discarding = false;
+    chunk.remove_prefix(nl + 1);
+  }
+
+  // Lines are framed by offset; only the newly read bytes are scanned for
+  // newlines, and the consumed prefix is compacted away once per read.
+  std::size_t line_start = 0;
+  std::size_t nl = conn.buffer.size();
+  conn.buffer.append(chunk);
+  while ((nl = conn.buffer.find('\n', nl)) != std::string::npos) {
+    const std::string_view line(conn.buffer.data() + line_start,
+                                nl - line_start);
+    if (line.size() > kMaxLineBytes) {
+      reject_oversized();
+    } else {
+      handle_input_line(conn.fd, line);
+    }
+    line_start = ++nl;
+  }
+  conn.buffer.erase(0, line_start);
+  if (conn.buffer.size() > kMaxLineBytes) {
+    reject_oversized();
     conn.buffer.clear();
     conn.discarding = true;
   }

@@ -147,7 +147,7 @@ class Server {
 
   struct Connection {
     int fd = -1;
-    std::string buffer;
+    std::string buffer;       ///< the unfinished line (at most 1 MiB)
     bool discarding = false;  ///< oversized line: drop bytes to next newline
   };
 

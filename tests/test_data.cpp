@@ -1,4 +1,4 @@
-// Tests for src/data: Table, CSV round trips, transforms, splits.
+// Tests for src/data: Table, CSV round trips, splits.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,6 @@
 #include "data/csv.hpp"
 #include "data/split.hpp"
 #include "data/table.hpp"
-#include "data/transforms.hpp"
 
 namespace mphpc::data {
 namespace {
@@ -248,72 +247,6 @@ TEST(Csv, FileRoundTrip) {
 
 TEST(Csv, UnreadablePathThrows) {
   EXPECT_THROW(read_csv_file("/nonexistent/dir/file.csv"), std::runtime_error);
-}
-
-// ----------------------------------------------------------- transforms ----
-
-TEST(Standardizer, ZeroMeanUnitVariance) {
-  std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
-  Standardizer s;
-  s.fit(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  s.transform(v);
-  double mean = 0.0;
-  double var = 0.0;
-  for (const double x : v) mean += x;
-  mean /= static_cast<double>(v.size());
-  for (const double x : v) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(v.size());
-  EXPECT_NEAR(mean, 0.0, 1e-12);
-  EXPECT_NEAR(var, 1.0, 1e-12);
-}
-
-TEST(Standardizer, InverseTransformRoundTrips) {
-  std::vector<double> v = {10.0, 20.0, 35.0};
-  const std::vector<double> original = v;
-  Standardizer s;
-  s.fit(v);
-  s.transform(v);
-  s.inverse_transform(v);
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(v[i], original[i], 1e-9);
-}
-
-TEST(Standardizer, ConstantColumnMapsToZero) {
-  std::vector<double> v = {7.0, 7.0, 7.0};
-  Standardizer s;
-  s.fit(v);
-  s.transform(v);
-  for (const double x : v) EXPECT_EQ(x, 0.0);
-}
-
-TEST(Standardizer, SerializeRoundTrips) {
-  std::vector<double> v = {1.5, 2.5, 10.0};
-  Standardizer s;
-  s.fit(v);
-  const Standardizer r = Standardizer::deserialize(s.serialize());
-  EXPECT_DOUBLE_EQ(r.mean(), s.mean());
-  EXPECT_DOUBLE_EQ(r.stddev(), s.stddev());
-}
-
-TEST(Standardizer, UnfittedUseThrows) {
-  const Standardizer s;
-  std::vector<double> v = {1.0};
-  EXPECT_THROW(s.transform(v), ContractViolation);
-}
-
-TEST(OneHot, EncodesLabels) {
-  const std::vector<std::string> labels = {"b", "a", "b"};
-  const std::vector<std::string> vocab = {"a", "b"};
-  const auto cols = one_hot(labels, vocab);
-  ASSERT_EQ(cols.size(), 2u);
-  EXPECT_EQ(cols[0], (std::vector<double>{0.0, 1.0, 0.0}));
-  EXPECT_EQ(cols[1], (std::vector<double>{1.0, 0.0, 1.0}));
-}
-
-TEST(OneHot, UnknownLabelThrows) {
-  const std::vector<std::string> labels = {"z"};
-  const std::vector<std::string> vocab = {"a", "b"};
-  EXPECT_THROW(one_hot(labels, vocab), LookupError);
 }
 
 // --------------------------------------------------------------- splits ----

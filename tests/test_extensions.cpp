@@ -1,5 +1,5 @@
-// Tests for the extension features: the k-NN comparator model and
-// permutation feature importance.
+// Tests for permutation feature importance, the model-agnostic
+// cross-check on the gain ranking.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "core/permutation_importance.hpp"
 #include "ml/gbt.hpp"
-#include "ml/knn_regressor.hpp"
 #include "ml/metrics.hpp"
 
 namespace mphpc {
@@ -28,72 +27,6 @@ Problem make_problem(std::size_t n, std::uint64_t seed, double noise = 0.0) {
     y(r, 1) = std::sin(5.0 * x(r, 1)) + noise * (rng.uniform() - 0.5);
   }
   return {std::move(x), std::move(y)};
-}
-
-// ------------------------------------------------------------------ k-NN ----
-
-TEST(Knn, ExactNeighborDominatesPrediction) {
-  const Problem p = make_problem(200, 1);
-  ml::KnnRegressor model;
-  model.fit(p.x, p.y);
-  // Query with a training point: the inverse-distance weighting makes the
-  // exact match dominate.
-  const ml::Matrix pred = model.predict(p.x);
-  for (std::size_t r = 0; r < 20; ++r) {
-    EXPECT_NEAR(pred(r, 0), p.y(r, 0), 1e-6);
-    EXPECT_NEAR(pred(r, 1), p.y(r, 1), 1e-6);
-  }
-}
-
-TEST(Knn, SmoothFunctionApproximation) {
-  const Problem train = make_problem(800, 2);
-  const Problem test = make_problem(100, 3);
-  ml::KnnRegressor model;
-  model.fit(train.x, train.y);
-  const double mae = ml::mean_absolute_error(test.y, model.predict(test.x));
-  EXPECT_LT(mae, 0.25);
-}
-
-TEST(Knn, KOneIsNearestNeighbor) {
-  ml::KnnOptions options;
-  options.k = 1;
-  ml::KnnRegressor model(options);
-  ml::Matrix x(2, 1, {0.0, 10.0});
-  ml::Matrix y(2, 1, {1.0, 2.0});
-  model.fit(x, y);
-  const ml::Matrix q(1, 1, {3.0});
-  EXPECT_DOUBLE_EQ(model.predict(q)(0, 0), 1.0);
-}
-
-TEST(Knn, UniformWeightsAverageNeighbors) {
-  ml::KnnOptions options;
-  options.k = 2;
-  options.weight_power = 0.0;
-  ml::KnnRegressor model(options);
-  ml::Matrix x(2, 1, {0.0, 1.0});
-  ml::Matrix y(2, 1, {0.0, 10.0});
-  model.fit(x, y);
-  const ml::Matrix q(1, 1, {0.2});
-  EXPECT_DOUBLE_EQ(model.predict(q)(0, 0), 5.0);
-}
-
-TEST(Knn, KLargerThanTrainingSetClamps) {
-  ml::KnnOptions options;
-  options.k = 100;
-  ml::KnnRegressor model(options);
-  const Problem p = make_problem(10, 4);
-  model.fit(p.x, p.y);
-  EXPECT_NO_THROW(model.predict(p.x));
-}
-
-TEST(Knn, UnfittedAndBadInputsThrow) {
-  const ml::KnnRegressor model;
-  EXPECT_THROW(model.predict(ml::Matrix(1, 3)), ContractViolation);
-  ml::KnnOptions bad;
-  bad.k = 0;
-  ml::KnnRegressor invalid(bad);
-  const Problem p = make_problem(10, 5);
-  EXPECT_THROW(invalid.fit(p.x, p.y), ContractViolation);
 }
 
 // --------------------------------------------- permutation importance ----

@@ -4,10 +4,15 @@
 
 #include <csignal>
 #include <cstdio>
+#include <fcntl.h>
+#include <poll.h>
+#include <spawn.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +30,7 @@
 #include "data/split.hpp"
 #include "sched/easy_scheduler.hpp"
 #include "sched/workload_gen.hpp"
+#include "serve/json.hpp"
 #include "sim/runner.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -313,6 +319,163 @@ TEST(Cli, RejectsUnknownFlagsAndMalformedNumbers) {
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_NE(r.output.find(flag), std::string::npos) << args << "\n" << r.output;
   }
+}
+
+// --------------------------------------------------------- serve intake ----
+
+/// The daemon's request-line cap (kMaxLineBytes in serve/server.cpp).
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20U;
+
+struct ServeRun {
+  std::vector<serve::JsonValue> replies;
+  double last_reply_s = 0.0;  ///< arrival of the last reply, after spawn
+  long peak_rss_kb = 0;       ///< the child's ru_maxrss
+  int exit_code = -1;
+};
+
+/// A fresh directory for one test, holding a tiny model for `mphpc serve`.
+std::string serve_test_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "/mphpc_intake_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const CliResult r = run_cli("train --inputs 2 --rounds 5 --depth 2 --out " +
+                              dir + "/model.txt");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  return dir;
+}
+
+/// Runs `mphpc serve` in stdio mode with the file `input` as stdin until it
+/// drains at EOF. A regular file hands the daemon full 64 KiB reads, so a
+/// line ends in the same read on every run.
+ServeRun run_stdio_serve(const std::string& dir, const std::string& input) {
+  ServeRun run;
+  int out[2];
+  if (::pipe(out) != 0) return run;
+  const std::string state = input + ".state";
+  const std::string model = dir + "/model.txt";
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 0, input.c_str(), O_RDONLY, 0);
+  posix_spawn_file_actions_adddup2(&actions, out[1], 1);
+  posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+  posix_spawn_file_actions_addclose(&actions, out[0]);
+  posix_spawn_file_actions_addclose(&actions, out[1]);
+  std::array<std::string, 6> args = {MPHPC_CLI_BIN, "serve", "--state-dir",
+                                     state,         "--model", model};
+  std::array<char*, 7> argv{};
+  for (std::size_t i = 0; i < args.size(); ++i) argv[i] = args[i].data();
+  const auto start = std::chrono::steady_clock::now();
+  pid_t pid = -1;
+  const int spawned =
+      ::posix_spawn(&pid, MPHPC_CLI_BIN, &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(out[1]);
+  if (spawned != 0) {
+    ::close(out[0]);
+    return run;
+  }
+
+  std::string pending;
+  std::array<char, 4096> buf{};
+  pollfd pfd{out[0], POLLIN, 0};
+  while (::poll(&pfd, 1, 60'000) > 0) {
+    const ssize_t n = ::read(out[0], buf.data(), buf.size());
+    if (n <= 0) break;
+    pending.append(buf.data(), static_cast<std::size_t>(n));
+    for (std::size_t nl; (nl = pending.find('\n')) != std::string::npos;) {
+      run.replies.push_back(serve::JsonValue::parse(pending.substr(0, nl)));
+      run.last_reply_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+      pending.erase(0, nl + 1);
+    }
+  }
+  ::close(out[0]);
+  ::kill(pid, SIGKILL);  // no-op after a clean drain; ends a hung daemon
+  int status = 0;
+  rusage usage{};
+  if (::wait4(pid, &status, 0, &usage) == pid && WIFEXITED(status)) {
+    run.exit_code = WEXITSTATUS(status);
+  }
+  run.peak_rss_kb = usage.ru_maxrss;
+  return run;
+}
+
+void write_filled(std::ofstream& out, char fill, std::size_t bytes) {
+  const std::string block(64 * 1024, fill);
+  for (; bytes >= block.size(); bytes -= block.size()) out << block;
+  out << block.substr(0, bytes);
+}
+
+std::string string_field(const serve::JsonValue& reply, std::string_view key) {
+  const auto* value = reply.find(key);
+  return value != nullptr && value->is_string() ? value->as_string() : "";
+}
+
+std::size_t count_oversized(const ServeRun& run) {
+  std::size_t n = 0;
+  for (const auto& r : run.replies) {
+    if (string_field(r, "error") == "request line exceeds 1 MiB") ++n;
+  }
+  return n;
+}
+
+bool is_stats_reply(const serve::JsonValue& reply, const std::string& id) {
+  return string_field(reply, "op") == "stats" && string_field(reply, "id") == id;
+}
+
+TEST(ServeIntake, OversizedTailIsDroppedWithoutBufferingOrStalling) {
+  // An oversized line, then 64 MiB more with no newline, then a request.
+  // The daemon must neither buffer the tail nor rescan it on every read:
+  // against a run without the tail, the request is answered less than 2 s
+  // later and the peak RSS grows by less than 16 MB.
+  const std::string dir = serve_test_dir("tail");
+  const std::string stats = "{\"op\":\"stats\",\"id\":\"after\"}\n";
+  for (const std::size_t tail_mib : {std::size_t{0}, std::size_t{64}}) {
+    std::ofstream out(dir + "/in" + std::to_string(tail_mib), std::ios::binary);
+    write_filled(out, 'x', kMaxLineBytes + 1024);
+    out << '\n';
+    write_filled(out, 'y', tail_mib << 20U);
+    if (tail_mib > 0) out << '\n';
+    out << stats;
+  }
+  const ServeRun base = run_stdio_serve(dir, dir + "/in0");
+  const ServeRun tail = run_stdio_serve(dir, dir + "/in64");
+  std::filesystem::remove_all(dir);
+
+  for (const ServeRun* run : {&base, &tail}) {
+    EXPECT_EQ(run->exit_code, 0);
+    ASSERT_FALSE(run->replies.empty());
+    EXPECT_TRUE(is_stats_reply(run->replies.back(), "after"));
+  }
+  EXPECT_EQ(count_oversized(base), 1u);
+  EXPECT_EQ(count_oversized(tail), 2u);
+  EXPECT_EQ(tail.replies.size(), 3u);
+  EXPECT_LT(tail.last_reply_s - base.last_reply_s, 2.0);
+  EXPECT_LT(tail.peak_rss_kb - base.peak_rss_kb, 16L * 1024L)
+      << "base " << base.peak_rss_kb << " KB, tail " << tail.peak_rss_kb << " KB";
+}
+
+TEST(ServeIntake, LineOneByteOverTheCapIsRejectedWhenItEndsInOneRead) {
+  // kMaxLineBytes + 1 bytes and the newline arrive in the same read. The
+  // line is a valid request padded with spaces, so only the length check
+  // can reject it; the next request is still served.
+  const std::string dir = serve_test_dir("boundary");
+  const std::string big = "{\"op\":\"stats\",\"id\":\"big\"}";
+  {
+    std::ofstream out(dir + "/in", std::ios::binary);
+    out << big;
+    write_filled(out, ' ', kMaxLineBytes + 1 - big.size());
+    out << "\n{\"op\":\"stats\",\"id\":\"next\"}\n";
+  }
+  const ServeRun run = run_stdio_serve(dir, dir + "/in");
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(run.exit_code, 0);
+  ASSERT_EQ(run.replies.size(), 2u);
+  EXPECT_EQ(string_field(run.replies[0], "code"), "bad_request");
+  EXPECT_EQ(count_oversized(run), 1u);
+  EXPECT_TRUE(is_stats_reply(run.replies[1], "next"));
 }
 
 }  // namespace

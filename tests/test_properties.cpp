@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "core/rpv.hpp"
 #include "data/csv.hpp"
-#include "data/transforms.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
 #include "ml/hist_common.hpp"
@@ -126,32 +125,6 @@ TEST_P(MetricProperty, SosInvariantUnderMonotoneTransform) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty, ::testing::Values(7u, 8u, 9u));
-
-// ----------------------------------------------- standardizer property ----
-
-class StandardizerProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(StandardizerProperty, TransformedStatsAreStandard) {
-  Rng rng(GetParam());
-  std::vector<double> v(500);
-  const double scale = rng.uniform(0.1, 100.0);
-  const double shift = rng.uniform(-50.0, 50.0);
-  for (double& x : v) x = shift + scale * rng.uniform();
-  data::Standardizer s;
-  s.fit(v);
-  s.transform(v);
-  double mean = 0.0;
-  for (const double x : v) mean += x;
-  mean /= static_cast<double>(v.size());
-  double var = 0.0;
-  for (const double x : v) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(v.size());
-  EXPECT_NEAR(mean, 0.0, 1e-9);
-  EXPECT_NEAR(var, 1.0, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StandardizerProperty,
-                         ::testing::Values(11u, 12u, 13u, 14u));
 
 // ------------------------------------------------- CSV round-trip fuzz ----
 

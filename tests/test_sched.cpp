@@ -1222,12 +1222,23 @@ TEST(EngineGolden, CollidingTimestampsResolveInJobIndexOrder) {
 
 // -------------------------------------------------- checkpoint planners ----
 
-TEST(CheckpointPlanner, PerAppUniformPolicyMatchesFixedPolicyBitIdentically) {
-  // When every job shares one app, a per-app planner naming that app must
-  // reproduce the fixed-policy run exactly — and the planner must win
-  // over an options.checkpoint it overrides.
+/// Hands every attempt the same policy.
+class FixedPlanner final : public CheckpointPlanner {
+ public:
+  explicit FixedPlanner(const CheckpointPolicy& policy) : policy_(policy) {}
+  CheckpointPolicy policy_for(const Job& /*job*/, double /*now_s*/) override {
+    return policy_;
+  }
+
+ private:
+  CheckpointPolicy policy_;
+};
+
+TEST(CheckpointPlanner, FixedPlannerMatchesFixedPolicyBitIdentically) {
+  // A planner that hands out one policy must reproduce the fixed-policy
+  // run exactly, and it must win over the options.checkpoint it overrides.
   const auto machines = tiny_cluster(3, 3, 3, 3);
-  const auto jobs = random_workload(400, 61);  // every job is "TestApp"
+  const auto jobs = random_workload(400, 61);
   const auto model = FaultModel::uniform(2000.0, 400.0, 0.1, {}, 67);
   const auto trace = model.generate(machines, 50'000.0);
   // Interval well under the 1-30 s runtimes so attempts actually write.
@@ -1239,8 +1250,7 @@ TEST(CheckpointPlanner, PerAppUniformPolicyMatchesFixedPolicyBitIdentically) {
   const auto fixed_run = simulate(jobs, machines, a1, trace, fixed);
   EXPECT_GT(fixed_run.checkpoints_written, 0);
 
-  PerAppCheckpointPlanner planner({});
-  planner.set("TestApp", policy);
+  FixedPlanner planner(policy);
   SchedulerOptions planned;
   planned.planner = &planner;
   planned.checkpoint = {999.0, 9.0};  // must be ignored: planner wins
@@ -1249,7 +1259,7 @@ TEST(CheckpointPlanner, PerAppUniformPolicyMatchesFixedPolicyBitIdentically) {
   expect_results_identical(fixed_run, planned_run);
 }
 
-TEST(CheckpointPlanner, PerAppPolicyForUnknownAppIsDisabledRun) {
+TEST(CheckpointPlanner, DisabledPolicyMatchesPlainRun) {
   const auto machines = tiny_cluster(3, 3, 3, 3);
   const auto jobs = random_workload(300, 71);
   const auto model = FaultModel::uniform(2000.0, 400.0, 0.1, {}, 73);
@@ -1258,8 +1268,7 @@ TEST(CheckpointPlanner, PerAppPolicyForUnknownAppIsDisabledRun) {
   RoundRobinAssigner a1;
   const auto plain = simulate(jobs, machines, a1, trace);
 
-  PerAppCheckpointPlanner planner({});  // disabled fallback
-  planner.set("NoSuchApp", {30.0, 2.0});
+  FixedPlanner planner({});
   SchedulerOptions options;
   options.planner = &planner;
   RoundRobinAssigner a2;

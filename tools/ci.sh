@@ -2,7 +2,7 @@
 # One-command pre-PR gate for mphpc: builds and tests every correctness
 # lane. Run from anywhere inside the repo:
 #
-#   tools/ci.sh            # dev lane + asan/ubsan lane + lint
+#   tools/ci.sh            # dev lane + perfbench build + asan/ubsan lane + lint
 #   tools/ci.sh --with-tsan   # additionally run the ThreadSanitizer lane
 #   tools/ci.sh --fast        # dev lane only (tier-1 verify + lint)
 #
@@ -10,6 +10,7 @@
 #   dev    RelWithDebInfo, -Werror, contracts throw  -> full ctest (tier 1)
 #   asan   AddressSanitizer + UndefinedBehaviorSanitizer -> full ctest
 #   tsan   ThreadSanitizer (opt-in: slow)            -> full ctest
+# The full gate also builds perfbench (Release, build-perfbench/).
 # The lint pass (`ctest -R lint.mphpc`) runs inside every lane's suite;
 # the dev lane is the canonical one.
 set -euo pipefail
@@ -331,6 +332,14 @@ print(f"fleet smoke: ok ({results['ok']} requests, "
 EOF
 
 if [[ "${fast}" -eq 0 ]]; then
+  # perfbench is its own top-level CMake project over src/ and tools/
+  # (no GoogleTest or Google Benchmark), so no lane above builds it. Build
+  # the two programs perfbench/run.py runs, so a change to a module's
+  # build files cannot break the benchmark unseen.
+  echo "==== [perfbench] configure + build (perfbench_harness, mphpc) ===="
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench --target perfbench_harness mphpc_cli -j "${jobs}"
+
   run_lane asan
   # The compiled engine indexes its flat node pool with hand-built offsets:
   # the packed 32- and 64-bit words, cut tables, grouped single-row walk
