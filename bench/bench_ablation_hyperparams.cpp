@@ -24,9 +24,9 @@ int main() {
   JsonWriter json;
   json.begin_object().field("experiment", "hyperparams").begin_array("configs");
 
-  const auto eval_gbt = [&](const char* label, const ml::GbtOptions& options) {
+  // Fits one configuration and records it in the table and the JSON line.
+  const auto eval = [&](const char* label, ml::Regressor&& model) {
     Timer timer;
-    ml::GbtRegressor model(options);
     model.fit(x_train, y_train, &ThreadPool::shared());
     const double fit_s = timer.seconds();
     const auto pred = model.predict(x_test);
@@ -44,53 +44,42 @@ int main() {
 
   {
     ml::GbtOptions o;  // shipped default
-    eval_gbt("gbt default (r400 d8 lr0.1 sq)", o);
+    eval("gbt default (r400 d8 lr0.1 sq)", ml::GbtRegressor(o));
   }
   {
     ml::GbtOptions o;
     o.n_rounds = 100;
-    eval_gbt("gbt r100", o);
+    eval("gbt r100", ml::GbtRegressor(o));
   }
   {
     ml::GbtOptions o;
     o.max_depth = 4;
-    eval_gbt("gbt depth 4", o);
+    eval("gbt depth 4", ml::GbtRegressor(o));
   }
   {
     ml::GbtOptions o;
     o.learning_rate = 0.3;
     o.n_rounds = 150;
-    eval_gbt("gbt lr 0.3 r150", o);
+    eval("gbt lr 0.3 r150", ml::GbtRegressor(o));
   }
   {
     ml::GbtOptions o;
     o.objective = ml::GbtObjective::kPseudoHuber;
-    eval_gbt("gbt pseudo-huber", o);
+    eval("gbt pseudo-huber", ml::GbtRegressor(o));
   }
   {
     ml::GbtOptions o;
     o.subsample = 1.0;
-    eval_gbt("gbt no row sampling", o);
+    eval("gbt no row sampling", ml::GbtRegressor(o));
   }
-
-  const auto eval_forest = [&](const char* label, const ml::ForestOptions& options) {
-    Timer timer;
-    ml::RandomForest model(options);
-    model.fit(x_train, y_train, &ThreadPool::shared());
-    const double fit_s = timer.seconds();
-    const auto pred = model.predict(x_test);
-    table.add_row({label, format_fixed(ml::mean_absolute_error(y_test, pred), 4),
-                   format_fixed(ml::same_order_score(y_test, pred), 4),
-                   format_fixed(fit_s, 1)});
-  };
   {
     ml::ForestOptions o;  // comparator default (100 trees, sqrt mtry)
-    eval_forest("forest default (100 trees)", o);
+    eval("forest default (100 trees)", ml::RandomForest(o));
   }
   {
     ml::ForestOptions o;
     o.n_trees = 25;
-    eval_forest("forest 25 trees", o);
+    eval("forest 25 trees", ml::RandomForest(o));
   }
 
   json.end_array().end_object();

@@ -308,10 +308,6 @@ const ml::RandomForest& predict_forest_model() {
     const auto& f = FitFixture::get();
     ml::ForestOptions options;
     options.n_trees = 25;
-    // Histogram split search: the thresholds then come from <= max_bins
-    // bin edges per feature, so the pool takes the 32-bit word (an
-    // exact-grown forest mints more than 255 cuts and takes the 64-bit one).
-    options.method = ml::TreeMethod::kHist;
     ml::RandomForest m(options);
     m.fit(f.x, f.y);
     return m;
@@ -352,31 +348,6 @@ void BM_ForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestFit)->Arg(10)->Arg(25)->Unit(benchmark::kMillisecond);
-
-// Forest split-search comparison: exact pre-sorted sweeps vs histogram
-// bins over one shared BinnedMatrix (the kHist payoff at forest scale).
-void forest_fit_method(benchmark::State& state, ml::TreeMethod method) {
-  const auto& f = MethodFixture::get();
-  ml::ForestOptions options;
-  options.n_trees = 25;
-  options.method = method;
-  for (auto _ : state) {
-    ml::RandomForest model(options);
-    model.fit(f.x, f.y, &ThreadPool::shared());
-    benchmark::DoNotOptimize(model.fitted());
-  }
-  state.SetItemsProcessed(state.iterations() * options.n_trees);
-}
-
-void BM_ForestFitExact(benchmark::State& state) {
-  forest_fit_method(state, ml::TreeMethod::kExact);
-}
-BENCHMARK(BM_ForestFitExact)->Unit(benchmark::kMillisecond);
-
-void BM_ForestFitHist(benchmark::State& state) {
-  forest_fit_method(state, ml::TreeMethod::kHist);
-}
-BENCHMARK(BM_ForestFitHist)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------ assignment-path micro ----
 // One Model-based assign() per queued job against an empty cluster: the

@@ -1,4 +1,6 @@
-// Per-feature quantile binning for histogram-based tree training.
+// Per-feature quantile binning for histogram-based tree training. Every
+// tree trainer (GbtRegressor, DecisionTree, RandomForest) searches splits
+// over these bins; none sweeps raw values.
 //
 // A BinnedMatrix is built once per fit: each feature's value range is cut
 // into at most `max_bins` (<= 256) quantile bins and every cell is encoded
@@ -20,12 +22,6 @@
 #include "ml/matrix.hpp"
 
 namespace mphpc::ml {
-
-/// Split search strategy of the CART trainers (DecisionTree, RandomForest):
-/// exact-greedy over pre-sorted raw values, or histogram sweeps over
-/// quantile-binned values (faster, near-identical accuracy). GBT always
-/// uses histogram sweeps.
-enum class TreeMethod : std::uint8_t { kExact = 0, kHist = 1 };
 
 /// Histogram bin count actually used by a fit: `configured` when nonzero,
 /// otherwise auto-scaled with the row count as clamp(rows / 64, 32, 256).

@@ -28,16 +28,6 @@ std::size_t tree_output_width(const DecisionTree& tree) {
   MPHPC_UNREACHABLE("fitted tree has no leaf");
 }
 
-/// CART leaf payload: appends the leaf's value vector to `values` and
-/// returns its offset (exact in a double far beyond any pool).
-auto cart_payload(std::vector<double>& values) {
-  return [&values](const TreeNode& leaf) {
-    const auto offset = static_cast<double>(values.size());
-    values.insert(values.end(), leaf.value.begin(), leaf.value.end());
-    return offset;
-  };
-}
-
 }  // namespace
 
 CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model) {
@@ -61,7 +51,7 @@ CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model) {
 CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
-  ce.kind_ = Kind::kForestMean;
+  ce.kind_ = Kind::kForest;
   ce.n_outputs_ = tree_output_width(model.trees().front());
   ce.value_width_ = ce.n_outputs_;
   ce.n_trees_ = static_cast<double>(model.trees().size());
@@ -72,20 +62,13 @@ CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model) {
     MPHPC_EXPECTS(tree.fitted());
     trees.push_back(&tree.nodes());
   }
-  ce.build_pools(trees, cart_payload(ce.values_));
-  MPHPC_ENSURES(ce.compiled());
-  return ce;
-}
-
-CompiledEnsemble CompiledEnsemble::compile(const DecisionTree& model) {
-  MPHPC_EXPECTS(model.fitted());
-  CompiledEnsemble ce;
-  ce.kind_ = Kind::kSingleTree;
-  ce.n_outputs_ = tree_output_width(model);
-  ce.value_width_ = ce.n_outputs_;
-  ce.n_features_ = model.n_features();
-  ce.build_pools(std::vector<const std::vector<TreeNode>*>{&model.nodes()},
-                 cart_payload(ce.values_));
+  // A leaf's payload is the offset of its value vector in values_ (exact
+  // in a double far beyond any pool).
+  ce.build_pools(trees, [&values = ce.values_](const TreeNode& leaf) {
+    const auto offset = static_cast<double>(values.size());
+    values.insert(values.end(), leaf.value.begin(), leaf.value.end());
+    return offset;
+  });
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
@@ -246,9 +229,7 @@ void CompiledEnsemble::predict_codes_row(const Word* pool, const Code<Word>* cod
     for (std::size_t l = 0; l < kGroup; ++l) add_leaf(leaf[l]);
   }
   for (; t < roots_.size(); ++t) add_leaf(qwalk(pool, roots_[t], depth_[t], codes));
-  if (kind_ == Kind::kForestMean) {
-    for (std::size_t k = 0; k < n_outputs_; ++k) out[k] /= n_trees_;
-  }
+  for (std::size_t k = 0; k < n_outputs_; ++k) out[k] /= n_trees_;
 }
 
 template <typename Word>
@@ -500,10 +481,8 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
         }
       }
     }
-    if (kind_ == Kind::kForestMean) {
-      for (std::size_t r = lo; r < lanes_hi; ++r) {
-        for (double& v : out.row(r)) v /= n_trees_;
-      }
+    for (std::size_t r = lo; r < lanes_hi; ++r) {
+      for (double& v : out.row(r)) v /= n_trees_;
     }
   }
   for (std::size_t r = lanes_hi; r < hi; ++r) {

@@ -3,12 +3,11 @@
 // The reference predictors (GbtTree::predict, DecisionTree::predict_one)
 // walk per-tree node vectors one row at a time — pointer chasing through
 // scattered allocations, re-touching every tree's nodes for every row.
-// CompiledEnsemble flattens a fitted GbtRegressor, RandomForest, or
-// DecisionTree into one contiguous node pool (leaf payloads in a parallel
-// array) and predicts blockwise: rows are processed in small tiles with the
-// tree loop outside the row loop, so one tree's nodes stay cache-resident
-// while a whole tile streams through them, and row tiles fan out across a
-// ThreadPool.
+// CompiledEnsemble flattens a fitted GbtRegressor or RandomForest into one
+// contiguous node pool (leaf payloads in a parallel array) and predicts
+// blockwise: rows are processed in small tiles with the tree loop outside
+// the row loop, so one tree's nodes stay cache-resident while a whole tile
+// streams through them, and row tiles fan out across a ThreadPool.
 //
 // The pool is a bin-code pool: every distinct split threshold of each
 // feature becomes an entry in a sorted per-feature cut table, node
@@ -27,10 +26,10 @@
 //   - 32-bit word (bits [0,8) feature, [8,16) cut, [16,32) left child;
 //     uint8 row codes) when the model has at most 255 features, at most
 //     255 cuts on every feature and at most 65535 nodes in every tree —
-//     as every single hist fit on at most 255 features to depth <= 15 has;
+//     as every single fit on at most 255 features to depth <= 15 has;
 //   - 64-bit word (bits [0,16) feature, [16,32) cut, [32,64) left child;
 //     uint16 row codes) otherwise: warm-refit generations that add cuts
-//     past 255, exact-trained forests, wide feature sets, huge trees.
+//     past 255, wide feature sets, huge trees.
 // A leaf stores the all-ones cut (255 or 0xFFFF, which no internal node
 // carries because a feature's cut indices stop one below its cut count)
 // and points at itself, so `code > cut` is always false there and the
@@ -75,7 +74,6 @@
 
 namespace mphpc::ml {
 
-class DecisionTree;
 class GbtRegressor;
 class RandomForest;
 
@@ -99,7 +97,6 @@ class CompiledEnsemble {
   /// (more than 65536 features or 65535 distinct thresholds on a feature).
   [[nodiscard]] static CompiledEnsemble compile(const GbtRegressor& model);
   [[nodiscard]] static CompiledEnsemble compile(const RandomForest& model);
-  [[nodiscard]] static CompiledEnsemble compile(const DecisionTree& model);
 
   [[nodiscard]] bool compiled() const noexcept { return !roots_.empty(); }
   [[nodiscard]] std::size_t n_features() const noexcept { return n_features_; }
@@ -124,7 +121,7 @@ class CompiledEnsemble {
                    RowScratch& scratch) const;
 
  private:
-  enum class Kind : std::uint8_t { kGbt = 0, kForestMean = 1, kSingleTree = 2 };
+  enum class Kind : std::uint8_t { kGbt = 0, kForest = 1 };
 
   /// Rows per tile: big enough to amortize per-tree loop overhead, small
   /// enough that a tile's accumulators and one tree's hot nodes share L1.
@@ -244,19 +241,19 @@ class CompiledEnsemble {
   // in boosting-round order; base_[k] is the per-output prior.
   std::vector<std::int32_t> output_begin_;
   std::vector<double> base_;
-  // kForestMean / kSingleTree: flat leaf payloads, value_width_ doubles
+  // kForest: flat leaf payloads, value_width_ doubles
   // per leaf (== n_outputs_).
   std::vector<double> values_;
   std::size_t value_width_ = 0;
   std::size_t n_features_ = 0;
   std::size_t n_outputs_ = 0;
   std::size_t n_nodes_ = 0;
-  double n_trees_ = 1.0;  ///< kForestMean: mean divisor (reference divides)
+  double n_trees_ = 1.0;  ///< kForest: mean divisor (reference divides)
 
   // The node pool: each tree's nodes in BFS order from roots_[t], packed
   // into q_node32_ or q_node64_ (exactly one is non-empty; see the header
   // comment for the two layouts). q_payload_ holds, in the same order, the
-  // scalar leaf weight for GBT, the values_ offset for forest/tree, and 0
+  // scalar leaf weight for GBT, the values_ offset for forests, and 0
   // for internal nodes. Per-feature sorted distinct cut values live flat in
   // cuts_ with cut_begin_ offsets (size n_features_ + 1), exactly the
   // FeatureBins layout from hist training.

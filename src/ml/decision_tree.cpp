@@ -1,7 +1,6 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/contract.hpp"
@@ -13,40 +12,6 @@ namespace mphpc::ml {
 
 namespace {
 
-/// Best split candidate for one node (from one feature sweep).
-struct SplitCandidate {
-  double gain = 0.0;
-  double threshold = 0.0;
-  int feature = -1;
-};
-
-/// Per-tree build state shared by the level-wise passes below: the row
-/// multiset's gathered targets, the per-feature pre-sorted position
-/// orders, and each position's current node.
-struct BuildState {
-  const Matrix& x;
-  std::span<const std::size_t> rows;
-  std::size_t n = 0;       // rows.size()
-  std::size_t n_feat = 0;  // x.cols()
-  std::size_t n_out = 0;   // y.cols()
-  std::vector<double> ys;  // targets by position, n x n_out
-  std::vector<std::vector<std::uint32_t>> sorted;  // per-feature orders
-  std::vector<std::int32_t> node_of;               // position -> node id
-};
-
-/// Statistics of the nodes on the current level, indexed densely in level
-/// order ("d" indices). Built once per level, read by every sweep.
-struct LevelStats {
-  std::vector<std::int32_t> splittable;  // dense index -> node id
-  std::vector<std::int32_t> dense_of;    // node id -> dense index or -1
-  std::vector<double> count;             // rows per node
-  std::vector<double> sum;               // per-output target sums
-  std::vector<double> parent_score;      // sum_k S^2/n
-  std::vector<std::uint8_t> may_split;
-  std::vector<std::uint8_t> mask;        // per-node feature subsets (mtry)
-  bool subsample_features = false;
-};
-
 void run_per_feature(ThreadPool* pool, std::size_t n_feat,
                      const std::function<void(std::size_t)>& body) {
   if (pool != nullptr) {
@@ -56,131 +21,7 @@ void run_per_feature(ThreadPool* pool, std::size_t n_feat,
   }
 }
 
-LevelStats compute_level_stats(const BuildState& st, const TreeOptions& options,
-                               std::size_t num_nodes,
-                               const std::vector<std::int32_t>& level_nodes,
-                               Rng& feature_rng) {
-  LevelStats stats;
-  stats.dense_of.assign(num_nodes, -1);
-  stats.splittable = level_nodes;
-  for (std::size_t d = 0; d < stats.splittable.size(); ++d) {
-    stats.dense_of[static_cast<std::size_t>(stats.splittable[d])] =
-        static_cast<std::int32_t>(d);
-  }
-  const std::size_t n_dense = stats.splittable.size();
-
-  stats.count.assign(n_dense, 0.0);
-  stats.sum.assign(n_dense * st.n_out, 0.0);
-  for (std::size_t p = 0; p < st.n; ++p) {
-    const std::int32_t d = stats.dense_of[static_cast<std::size_t>(st.node_of[p])];
-    if (d < 0) continue;
-    stats.count[static_cast<std::size_t>(d)] += 1.0;
-    const double* yp = &st.ys[p * st.n_out];
-    double* s = &stats.sum[static_cast<std::size_t>(d) * st.n_out];
-    for (std::size_t k = 0; k < st.n_out; ++k) s[k] += yp[k];
-  }
-
-  // Parent scores sum_k S^2/n, and which nodes may split.
-  stats.parent_score.assign(n_dense, 0.0);
-  stats.may_split.assign(n_dense, 0);
-  for (std::size_t d = 0; d < n_dense; ++d) {
-    const double* s = &stats.sum[d * st.n_out];
-    for (std::size_t k = 0; k < st.n_out; ++k) {
-      stats.parent_score[d] += s[k] * s[k] / stats.count[d];
-    }
-    stats.may_split[d] = stats.count[d] >= options.min_samples_split ? 1 : 0;
-  }
-
-  // Per-node feature subsets (mtry), drawn in node order.
-  stats.subsample_features =
-      options.max_features > 0 &&
-      static_cast<std::size_t>(options.max_features) < st.n_feat;
-  if (stats.subsample_features) {
-    stats.mask.assign(n_dense * st.n_feat, 0);
-    for (std::size_t d = 0; d < n_dense; ++d) {
-      if (!stats.may_split[d]) continue;
-      for (const std::size_t f : sample_without_replacement(
-               feature_rng, st.n_feat,
-               static_cast<std::size_t>(options.max_features))) {
-        stats.mask[d * st.n_feat + f] = 1;
-      }
-    }
-  }
-  return stats;
-}
-
-/// Sweeps one feature's sorted order, writing the best candidate per dense
-/// node into bests[f * n_dense + d]. Thread-safe across distinct f.
-void sweep_feature(const BuildState& st, const LevelStats& stats,
-                   double min_leaf, std::size_t f,
-                   std::span<SplitCandidate> bests) {
-  const std::size_t n_dense = stats.splittable.size();
-  std::vector<double> cnt_l(n_dense, 0.0);
-  std::vector<double> sum_l(n_dense * st.n_out, 0.0);
-  std::vector<double> prev(n_dense, 0.0);
-  std::vector<std::uint8_t> has_prev(n_dense, 0);
-  SplitCandidate* best = &bests[f * n_dense];
-
-  for (const std::uint32_t p : st.sorted[f]) {
-    const std::int32_t d32 = stats.dense_of[static_cast<std::size_t>(st.node_of[p])];
-    if (d32 < 0) continue;
-    const auto d = static_cast<std::size_t>(d32);
-    if (!stats.may_split[d]) continue;
-    if (stats.subsample_features && !stats.mask[d * st.n_feat + f]) continue;
-    const double v = st.x(st.rows[p], f);
-
-    if (has_prev[d] && v > prev[d] && cnt_l[d] >= min_leaf &&
-        stats.count[d] - cnt_l[d] >= min_leaf) {
-      const double nl = cnt_l[d];
-      const double nr = stats.count[d] - nl;
-      double child_score = 0.0;
-      const double* sl = &sum_l[d * st.n_out];
-      const double* tot = &stats.sum[d * st.n_out];
-      for (std::size_t k = 0; k < st.n_out; ++k) {
-        const double sr = tot[k] - sl[k];
-        child_score += sl[k] * sl[k] / nl + sr * sr / nr;
-      }
-      const double gain = child_score - stats.parent_score[d];
-      if (gain > best[d].gain) {
-        best[d] = {gain, 0.5 * (prev[d] + v), static_cast<int>(f)};
-      }
-    }
-
-    cnt_l[d] += 1.0;
-    const double* yp = &st.ys[static_cast<std::size_t>(p) * st.n_out];
-    double* sl = &sum_l[d * st.n_out];
-    for (std::size_t k = 0; k < st.n_out; ++k) sl[k] += yp[k];
-    prev[d] = v;
-    has_prev[d] = 1;
-  }
-}
-
-/// Per-feature sweeps (parallel) reduced in fixed feature order, so the
-/// winner per node is deterministic: lowest feature index wins ties.
-std::vector<SplitCandidate> best_splits(const BuildState& st,
-                                        const LevelStats& stats,
-                                        const TreeOptions& options,
-                                        ThreadPool* pool) {
-  const std::size_t n_dense = stats.splittable.size();
-  std::vector<SplitCandidate> bests(st.n_feat * n_dense);
-  const double min_leaf = static_cast<double>(options.min_samples_leaf);
-  run_per_feature(pool, st.n_feat, [&](std::size_t f) {
-    sweep_feature(st, stats, min_leaf, f, bests);
-  });
-
-  std::vector<SplitCandidate> winner(n_dense);
-  for (std::size_t f = 0; f < st.n_feat; ++f) {
-    for (std::size_t d = 0; d < n_dense; ++d) {
-      const SplitCandidate& c = bests[f * n_dense + d];
-      if (c.feature >= 0 && c.gain > winner[d].gain) winner[d] = c;
-    }
-  }
-  return winner;
-}
-
-// ---------------------------------------------------------------- kHist ----
-
-/// kHist split candidate: `bin` is the last bin going left (codes <= bin).
+/// Split candidate: `bin` is the last bin going left (codes <= bin).
 struct HistSplit {
   double gain = 0.0;
   double threshold = 0.0;
@@ -194,7 +35,7 @@ struct CartHistLevel {
   std::vector<std::vector<double>> hists;  ///< per dense index
 };
 
-/// Level-wise histogram CART builder, mirroring gbt.cpp's kHist trainer on
+/// Level-wise histogram CART builder, mirroring gbt.cpp's trainer on
 /// the shared hist_common machinery. The per-bin statistic is
 /// (count, per-output target sums) — layout width 1 + n_out — instead of
 /// GBT's (G, H). The bootstrap multiset lives in a hist::NodePartition
@@ -454,106 +295,7 @@ struct HistCartBuilder {
 void DecisionTree::fit(const Matrix& x, const Matrix& y, ThreadPool* pool) {
   std::vector<std::size_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  fit_rows(x, y, rows, pool);
-}
-
-void DecisionTree::fit_rows(const Matrix& x, const Matrix& y,
-                            std::span<const std::size_t> rows, ThreadPool* pool) {
-  MPHPC_EXPECTS(x.rows() == y.rows() && !rows.empty() && x.cols() > 0 && y.cols() > 0);
-  MPHPC_EXPECTS(options_.max_depth >= 1 && options_.min_samples_leaf >= 1);
-
-  if (options_.method == TreeMethod::kHist) {
-    const BinnedMatrix binned = BinnedMatrix::build(
-        x, resolve_max_bins(options_.max_bins, x.rows()), pool);
-    fit_rows_binned(x, y, rows, binned, pool);
-    return;
-  }
-
-  BuildState st{x, rows, rows.size(), x.cols(), y.cols(), {}, {}, {}};
-  n_features_ = st.n_feat;
-  nodes_.clear();
-  gain_per_feature_.assign(st.n_feat, 0.0);
-
-  // Gather the targets of the row multiset once (positions 0..n-1).
-  st.ys.resize(st.n * st.n_out);
-  for (std::size_t p = 0; p < st.n; ++p) {
-    const auto src = y.row(rows[p]);
-    std::copy(src.begin(), src.end(),
-              st.ys.begin() + static_cast<std::ptrdiff_t>(p * st.n_out));
-  }
-
-  // Pre-sort positions by each feature's value, once per tree.
-  st.sorted.resize(st.n_feat);
-  run_per_feature(pool, st.n_feat, [&](std::size_t f) {
-    auto& order = st.sorted[f];
-    order.resize(st.n);
-    std::iota(order.begin(), order.end(), std::uint32_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return x(rows[a], f) < x(rows[b], f);
-                     });
-  });
-
-  nodes_.push_back(TreeNode{});
-  st.node_of.assign(st.n, 0);
-  std::vector<std::int32_t> level_nodes = {0};
-  Rng feature_rng(options_.seed);
-
-  for (int depth = 0; depth < options_.max_depth && !level_nodes.empty(); ++depth) {
-    const LevelStats stats =
-        compute_level_stats(st, options_, nodes_.size(), level_nodes, feature_rng);
-    const std::vector<SplitCandidate> winner = best_splits(st, stats, options_, pool);
-
-    // Apply winning splits, creating the next level.
-    std::vector<std::int32_t> next_level;
-    bool any_split = false;
-    for (std::size_t d = 0; d < stats.splittable.size(); ++d) {
-      const SplitCandidate& w = winner[d];
-      if (w.feature < 0 || w.gain <= options_.min_gain) continue;
-      const auto node = static_cast<std::size_t>(stats.splittable[d]);
-      nodes_[node].feature = w.feature;
-      nodes_[node].threshold = w.threshold;
-      nodes_[node].left = static_cast<int>(nodes_.size());
-      nodes_[node].right = static_cast<int>(nodes_.size() + 1);
-      next_level.push_back(static_cast<std::int32_t>(nodes_.size()));
-      next_level.push_back(static_cast<std::int32_t>(nodes_.size() + 1));
-      nodes_.emplace_back();
-      nodes_.emplace_back();
-      gain_per_feature_[static_cast<std::size_t>(w.feature)] += w.gain;
-      any_split = true;
-    }
-    if (!any_split) break;
-
-    // Re-partition positions into children.
-    for (std::size_t p = 0; p < st.n; ++p) {
-      const TreeNode& node = nodes_[static_cast<std::size_t>(st.node_of[p])];
-      if (node.is_leaf()) continue;
-      st.node_of[p] =
-          x(rows[p], static_cast<std::size_t>(node.feature)) <= node.threshold
-              ? node.left
-              : node.right;
-    }
-    level_nodes = std::move(next_level);
-  }
-
-  // Leaf values: mean target vector of each leaf's rows.
-  std::vector<double> leaf_count(nodes_.size(), 0.0);
-  std::vector<double> leaf_sum(nodes_.size() * st.n_out, 0.0);
-  for (std::size_t p = 0; p < st.n; ++p) {
-    const auto node = static_cast<std::size_t>(st.node_of[p]);
-    leaf_count[node] += 1.0;
-    const double* yp = &st.ys[p * st.n_out];
-    double* s = &leaf_sum[node * st.n_out];
-    for (std::size_t k = 0; k < st.n_out; ++k) s[k] += yp[k];
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].is_leaf()) continue;
-    nodes_[i].value.resize(st.n_out);
-    MPHPC_ENSURES(leaf_count[i] > 0.0);
-    for (std::size_t k = 0; k < st.n_out; ++k) {
-      nodes_[i].value[k] = leaf_sum[i * st.n_out + k] / leaf_count[i];
-    }
-  }
+  fit_rows_binned(x, y, rows, BinnedMatrix::build(x, kCartMaxBins, pool), pool);
 }
 
 void DecisionTree::fit_rows_binned(const Matrix& x, const Matrix& y,

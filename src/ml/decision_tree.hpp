@@ -1,19 +1,15 @@
 // Multi-output CART regression tree.
 //
 // Splits minimize the summed per-output SSE (equivalently maximize
-// variance reduction). Two split-search methods are available. kExact —
-// the default — grows level-wise over per-tree pre-sorted feature orders:
-// each level costs one O(features x samples) sweep instead of per-node
-// re-sorting, the same strategy XGBoost's exact-greedy mode uses. kHist
-// quantizes each feature into at most max_bins quantile bins once
-// (ml/binning.hpp), accumulates per-node (count, target-sum) histograms,
-// derives each split pair's larger child by sibling subtraction
-// (ml/hist_common.hpp), and sweeps bin boundaries instead of rows —
-// faster at forest scale because a shared BinnedMatrix replaces the
-// per-tree sorts (see fit_rows_binned). Feature subsampling (mtry) is
-// drawn per node, as in classic random forests. All randomness is seeded;
-// parallel feature sweeps reduce in fixed feature order, so fits are
-// bit-deterministic in both methods.
+// variance reduction). Split search is histogram-based: each feature is
+// quantized into at most kCartMaxBins quantile bins (ml/binning.hpp), the
+// trainer accumulates per-node (count, target-sum) histograms, derives
+// each split pair's larger child by sibling subtraction
+// (ml/hist_common.hpp), and sweeps bin boundaries instead of rows. A
+// forest bins its training matrix once and shares it across all trees
+// (see fit_rows_binned). Feature subsampling (mtry) is drawn per node, as
+// in classic random forests. All randomness is seeded; parallel feature
+// sweeps reduce in fixed feature order, so fits are bit-deterministic.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +26,11 @@ struct TreeOptions {
   double min_gain = 0.0;    ///< minimum SSE reduction to accept a split
   int max_features = 0;     ///< per-node feature subset size; 0 = all features
   std::uint64_t seed = 1;   ///< feature-subsampling stream
-  /// Split search: exact-greedy (reference) or histogram sweeps over
-  /// quantile bins. Opt-in: kExact keeps existing fits bit-stable.
-  TreeMethod method = TreeMethod::kExact;
-  /// Histogram bins per feature (2..256, kHist). 0 = auto:
-  /// clamp(rows / 64, 32, 256) (resolve_max_bins).
-  int max_bins = 64;
 };
+
+/// Histogram bins per feature for every CART fit (DecisionTree::fit and
+/// RandomForest::fit).
+inline constexpr int kCartMaxBins = 64;
 
 /// One node of a fitted tree. Leaves have feature == -1 and carry the mean
 /// output vector of their training rows.
@@ -57,14 +51,9 @@ class DecisionTree final : public Regressor {
   void fit(const Matrix& x, const Matrix& y, ThreadPool* pool = nullptr) override;
 
   /// Fits on a row multiset (duplicates allowed — used for bootstrap
-  /// sampling by the forest). Honors options().method: kHist builds a
-  /// private BinnedMatrix first.
-  void fit_rows(const Matrix& x, const Matrix& y, std::span<const std::size_t> rows,
-                ThreadPool* pool = nullptr);
-
-  /// kHist fit over a pre-built BinnedMatrix of `x` (shape-checked). The
-  /// forest builds the binning once and shares it across all trees, which
-  /// is where the histogram method's speedup comes from.
+  /// sampling by the forest) over a pre-built BinnedMatrix of `x`
+  /// (shape-checked). The forest builds the binning once and shares it
+  /// across all trees.
   void fit_rows_binned(const Matrix& x, const Matrix& y,
                        std::span<const std::size_t> rows,
                        const BinnedMatrix& binned, ThreadPool* pool = nullptr);

@@ -1,5 +1,5 @@
-// Shared machinery for histogram-based tree trainers (GBT, whose only split
-// search this is, and the CART kHist path in decision_tree.cpp).
+// Shared machinery for the histogram-based tree trainers (GBT in gbt.cpp,
+// CART in decision_tree.cpp); it is the only split search either has.
 //
 // Every hist trainer follows the same shape: quantize X once per fit
 // (ml/binning.hpp), keep the in-sample items in one array stably

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
@@ -26,21 +25,14 @@ void RandomForest::fit(const Matrix& x, const Matrix& y, ThreadPool* pool) {
   tree_options.min_samples_leaf = options_.min_samples_leaf;
   tree_options.min_samples_split = options_.min_samples_split;
   tree_options.max_features = mtry;
-  tree_options.method = options_.method;
-  tree_options.max_bins = options_.max_bins;
 
   trees_.assign(static_cast<std::size_t>(options_.n_trees), DecisionTree{});
   const std::size_t n = x.rows();
   const auto n_sample = static_cast<std::size_t>(
       std::max(1.0, options_.subsample * static_cast<double>(n)));
 
-  // kHist: quantize X once and share the codes across every tree — the
-  // per-tree work drops from feature sorts to histogram accumulation.
-  std::optional<BinnedMatrix> binned;
-  if (options_.method == TreeMethod::kHist) {
-    binned.emplace(
-        BinnedMatrix::build(x, resolve_max_bins(options_.max_bins, n), pool));
-  }
+  // Quantize X once and share the codes across every tree.
+  const BinnedMatrix binned = BinnedMatrix::build(x, kCartMaxBins, pool);
 
   const auto build = [&](std::size_t t) {
     Rng rng(derive_seed(options_.seed, "tree", static_cast<std::uint64_t>(t)));
@@ -50,11 +42,7 @@ void RandomForest::fit(const Matrix& x, const Matrix& y, ThreadPool* pool) {
     opts.seed = derive_seed(options_.seed, "features", static_cast<std::uint64_t>(t));
     trees_[t] = DecisionTree(opts);
     // Trees are built serially inside; parallelism is across trees.
-    if (binned.has_value()) {
-      trees_[t].fit_rows_binned(x, y, rows, *binned, nullptr);
-    } else {
-      trees_[t].fit_rows(x, y, rows, nullptr);
-    }
+    trees_[t].fit_rows_binned(x, y, rows, binned, nullptr);
   };
 
   if (pool != nullptr) {

@@ -1,6 +1,7 @@
 // Random-forest regressor: bagged multi-output CART trees with per-node
-// feature subsampling, trained in parallel across trees. Matches the
-// scikit-learn "decision forest" comparator of the paper.
+// feature subsampling, trained in parallel across trees over one shared
+// binning of the training matrix. Matches the scikit-learn "decision
+// forest" comparator of the paper.
 #pragma once
 
 #include <cstdint>
@@ -21,12 +22,6 @@ struct ForestOptions {
   /// Bootstrap sample fraction of the training rows per tree.
   double subsample = 1.0;
   std::uint64_t seed = 7;
-  /// Split search for every tree (ml/binning.hpp). kHist bins the training
-  /// matrix once and shares it across all trees, replacing the per-tree
-  /// feature sorts. Opt-in: kExact keeps existing fits bit-stable.
-  TreeMethod method = TreeMethod::kExact;
-  /// Histogram bins per feature (kHist; 0 = auto, see resolve_max_bins).
-  int max_bins = 64;
 };
 
 class RandomForest final : public Regressor {

@@ -307,7 +307,7 @@ TEST(DecisionTree, FitRowsSubset) {
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r < 100; ++r) rows.push_back(r);
   DecisionTree tree;
-  tree.fit_rows(p.x, p.y, rows);
+  tree.fit_rows_binned(p.x, p.y, rows, BinnedMatrix::build(p.x, kCartMaxBins));
   EXPECT_TRUE(tree.fitted());
 }
 
@@ -474,7 +474,6 @@ TEST(Gbt, HistFitRejectsNonFiniteFeatures) {
   const GbtOptions options = small_gbt();
   ForestOptions forest_options;
   forest_options.n_trees = 2;
-  forest_options.method = TreeMethod::kHist;
   ThreadPool pool(2);
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
@@ -855,26 +854,26 @@ Problem make_discrete_problem(std::size_t n, double noise, std::uint64_t seed) {
   return {std::move(x), std::move(y)};
 }
 
+// The accuracy bounds below are 1.02x the test RMSE that an exact-greedy
+// fit (split search over every distinct raw value, since deleted) scored
+// on the same problem: histogram split search may not be more than 2%
+// worse.
+
 TEST(DecisionTree, HistMatchesExactAccuracy) {
   const Problem train = make_discrete_problem(800, 0.1, 40);
   const Problem test = make_discrete_problem(300, 0.1, 41);
   TreeOptions options;
   options.max_depth = 8;
-  options.max_bins = 64;  // >= the 40 feature levels: lossless binning
-  DecisionTree exact(options);
-  exact.fit(train.x, train.y);
-  options.method = TreeMethod::kHist;
-  DecisionTree hist(options);
-  hist.fit(train.x, train.y);
-  const double rmse_e = root_mean_squared_error(test.y, exact.predict(test.x));
-  const double rmse_h = root_mean_squared_error(test.y, hist.predict(test.x));
-  EXPECT_LT(std::abs(rmse_h - rmse_e), 0.02 * rmse_e);
+  static_assert(kCartMaxBins >= 40, "lossless binning of the 40 feature levels");
+  DecisionTree tree(options);
+  tree.fit(train.x, train.y);
+  const double exact_rmse = 0.084311;
+  EXPECT_LT(root_mean_squared_error(test.y, tree.predict(test.x)), 1.02 * exact_rmse);
 }
 
 TEST(DecisionTree, HistDeterministicAcrossThreadCounts) {
   const Problem p = make_problem(300, 0.3, 42);
-  TreeOptions options;
-  options.method = TreeMethod::kHist;
+  const TreeOptions options;
   DecisionTree serial(options);
   serial.fit(p.x, p.y, nullptr);
   const Matrix a = serial.predict(p.x);
@@ -894,21 +893,16 @@ TEST(RandomForest, HistMatchesExactAccuracy) {
   const Problem test = make_binnable_problem(300, 0.1, 44);
   ForestOptions options;
   options.n_trees = 30;
-  RandomForest exact(options);
-  exact.fit(train.x, train.y);
-  options.method = TreeMethod::kHist;
-  RandomForest hist(options);
-  hist.fit(train.x, train.y);
-  const double rmse_e = root_mean_squared_error(test.y, exact.predict(test.x));
-  const double rmse_h = root_mean_squared_error(test.y, hist.predict(test.x));
-  EXPECT_LT(std::abs(rmse_h - rmse_e), 0.02 * rmse_e);
+  RandomForest forest(options);
+  forest.fit(train.x, train.y);
+  const double exact_rmse = 0.053420;
+  EXPECT_LT(root_mean_squared_error(test.y, forest.predict(test.x)), 1.02 * exact_rmse);
 }
 
 TEST(RandomForest, HistDeterministicAcrossThreadCounts) {
   const Problem p = make_problem(300, 0.3, 45);
   ForestOptions options;
   options.n_trees = 12;
-  options.method = TreeMethod::kHist;
   RandomForest serial(options);
   serial.fit(p.x, p.y, nullptr);
   const Matrix a = serial.predict(p.x);
@@ -1025,7 +1019,6 @@ TEST(TrainingGolden, HistRandomForest) {
   ForestOptions options;
   options.n_trees = 12;
   options.max_depth = 8;
-  options.method = TreeMethod::kHist;
   ThreadPool pool(3);
   for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     RandomForest model(options);
@@ -1167,26 +1160,35 @@ TEST(CompiledParity, GbtHistBitIdentical) {
 
 TEST(CompiledParity, RandomForestBitIdentical) {
   const Problem p = make_problem(300, 0.3, 52);
-  for (const TreeMethod method : {TreeMethod::kExact, TreeMethod::kHist}) {
-    // 33 trees: two full 16-tree groups plus a tail in the row kernel.
-    for (const int n_trees : {15, 33}) {
-      ForestOptions options;
-      options.n_trees = n_trees;
-      options.method = method;
-      RandomForest model(options);
-      model.fit(p.x, p.y);
-      const auto compiled = CompiledEnsemble::compile(model);
-      const Matrix reference = model.predict(p.x);
-      expect_matrices_identical(compiled.predict(p.x), reference);
-      expect_row_parity(compiled, p.x, reference);
-    }
+  // 33 trees: two full 16-tree groups plus a tail in the row kernel.
+  for (const int n_trees : {15, 33}) {
+    ForestOptions options;
+    options.n_trees = n_trees;
+    RandomForest model(options);
+    model.fit(p.x, p.y);
+    const auto compiled = CompiledEnsemble::compile(model);
+    // Continuous features: every threshold is one of <= kCartMaxBins - 1
+    // bin edges, so the forest fits the 32-bit word.
+    ASSERT_EQ(compiled.word_bits(), 32);
+    const Matrix reference = model.predict(p.x);
+    expect_matrices_identical(compiled.predict(p.x), reference);
+    expect_row_parity(compiled, p.x, reference);
   }
+}
+
+/// A one-tree forest: a lone CART tree compiles through the forest path.
+RandomForest fit_one_tree(const Problem& p, int max_depth = 16) {
+  ForestOptions options;
+  options.n_trees = 1;
+  options.max_depth = max_depth;
+  RandomForest model(options);
+  model.fit(p.x, p.y);
+  return model;
 }
 
 TEST(CompiledParity, DecisionTreeBitIdentical) {
   const Problem p = make_problem(300, 0.3, 53);
-  DecisionTree model;
-  model.fit(p.x, p.y);
+  const RandomForest model = fit_one_tree(p);
   const auto compiled = CompiledEnsemble::compile(model);
   const Matrix reference = model.predict(p.x);
   expect_matrices_identical(compiled.predict(p.x), reference);
@@ -1195,25 +1197,22 @@ TEST(CompiledParity, DecisionTreeBitIdentical) {
 
 TEST(CompiledParity, StumpBitIdentical) {
   const Problem p = make_problem(200, 0.3, 54);
-  TreeOptions options;
-  options.max_depth = 1;  // a single split: root plus two leaves
-  DecisionTree model(options);
-  model.fit(p.x, p.y);
+  // A single split: root plus two leaves.
+  const RandomForest model = fit_one_tree(p, 1);
+  ASSERT_EQ(model.trees().front().nodes().size(), 3u);
   const auto compiled = CompiledEnsemble::compile(model);
   expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
 }
 
 TEST(CompiledParity, SingleLeafConstantTargetBitIdentical) {
   // A constant target collapses every tree to one leaf (walk length 0).
-  const Problem base = make_problem(100, 0.0, 55);
-  Matrix y(base.y.rows(), base.y.cols());
-  for (double& v : y.flat()) v = 2.75;
-  DecisionTree tree;
-  tree.fit(base.x, y);
-  expect_matrices_identical(CompiledEnsemble::compile(tree).predict(base.x),
-                            tree.predict(base.x));
+  Problem base = make_problem(100, 0.0, 55);
+  for (double& v : base.y.flat()) v = 2.75;
+  const RandomForest forest = fit_one_tree(base);
+  expect_matrices_identical(CompiledEnsemble::compile(forest).predict(base.x),
+                            forest.predict(base.x));
   GbtRegressor gbt(small_gbt());
-  gbt.fit(base.x, y);
+  gbt.fit(base.x, base.y);
   expect_matrices_identical(CompiledEnsemble::compile(gbt).predict(base.x),
                             gbt.predict(base.x));
 }
@@ -1392,10 +1391,7 @@ TEST(QuantizedParity, RowScratchReuseMatchesBatch) {
 TEST(QuantizedParity, DegenerateModels) {
   // Stump: a single split.
   const Problem p = make_problem(200, 0.3, 68);
-  TreeOptions stump_options;
-  stump_options.max_depth = 1;
-  DecisionTree stump(stump_options);
-  stump.fit(p.x, p.y);
+  const RandomForest stump = fit_one_tree(p, 1);
   const auto qstump = CompiledEnsemble::compile(stump);
   ASSERT_EQ(qstump.word_bits(), 32);
   expect_matrices_identical(qstump.predict(p.x), stump.predict(p.x));
@@ -1454,34 +1450,24 @@ TEST(QuantizedParity, DegenerateModels) {
 
 TEST(QuantizedParity, WideModelFallsBackToExact) {
   // There is no exact pool to fall back to: the word width follows the
-  // model. Single hist fits of every kind keep the 32-bit word; a GBT
-  // refit past 255 cuts and an exact-trained forest (fresh midpoints in
-  // every tree) take the 64-bit word, still counting every node.
+  // model. Single fits of every kind keep the 32-bit word; a GBT refit
+  // past 255 cuts takes the 64-bit word, still counting every node.
   const Problem p = make_problem(400, 0.4, 69);
   GbtRegressor gbt(small_gbt());
   gbt.fit(p.x, p.y);
   EXPECT_EQ(CompiledEnsemble::compile(gbt).word_bits(), 32);
   ForestOptions forest_options;
   forest_options.n_trees = 20;
-  forest_options.method = TreeMethod::kHist;
-  RandomForest hist_forest(forest_options);
-  hist_forest.fit(p.x, p.y);
-  EXPECT_EQ(CompiledEnsemble::compile(hist_forest).word_bits(), 32);
-  TreeOptions tree_options;
-  tree_options.method = TreeMethod::kHist;
-  DecisionTree tree(tree_options);
-  tree.fit(p.x, p.y);
-  EXPECT_EQ(CompiledEnsemble::compile(tree).word_bits(), 32);
+  RandomForest forest(forest_options);
+  forest.fit(p.x, p.y);
+  EXPECT_EQ(CompiledEnsemble::compile(forest).word_bits(), 32);
+  EXPECT_EQ(CompiledEnsemble::compile(fit_one_tree(p)).word_bits(), 32);
 
   const GbtRegressor refit = refit_past_255_cuts(69);
   EXPECT_GT(max_distinct_cuts(refit), 255u);
   const auto compiled_refit = CompiledEnsemble::compile(refit);
   EXPECT_EQ(compiled_refit.word_bits(), 64);
   EXPECT_EQ(compiled_refit.n_nodes(), total_nodes(refit));
-  forest_options.method = TreeMethod::kExact;
-  RandomForest exact_forest(forest_options);
-  exact_forest.fit(p.x, p.y);
-  EXPECT_EQ(CompiledEnsemble::compile(exact_forest).word_bits(), 64);
 
   // A model file whose node graph is not a tree (two parents share both
   // leaves) would break the BFS layout; loading rejects it.
@@ -1523,19 +1509,6 @@ TEST(WideWordParity, WarmRefitPast255Cuts) {
   ASSERT_EQ(compiled.word_bits(), 64);
   expect_full_parity(compiled, model, make_problem(300, 0.3, 71).x);
   expect_full_parity(compiled, model, threshold_rows(model, make_problem(1, 0.3, 72).x));
-}
-
-TEST(WideWordParity, ExactForest) {
-  const Problem p = make_problem(400, 0.4, 73);
-  ForestOptions options;
-  options.n_trees = 20;
-  options.method = TreeMethod::kExact;
-  RandomForest forest(options);
-  forest.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(forest);
-  ASSERT_EQ(compiled.word_bits(), 64);
-  expect_full_parity(compiled, forest, p.x);
-  expect_full_parity(compiled, forest, make_problem(300, 0.4, 74).x);
 }
 
 TEST(WideWordParity, ThreeHundredFeatures) {

@@ -2,7 +2,8 @@
 # One-command pre-PR gate for mphpc: builds and tests every correctness
 # lane. Run from anywhere inside the repo:
 #
-#   tools/ci.sh            # dev lane + perfbench build + asan/ubsan lane + lint
+#   tools/ci.sh            # dev lane + paper claims + perfbench build +
+#                          # asan/ubsan lane + lint
 #   tools/ci.sh --with-tsan   # additionally run the ThreadSanitizer lane
 #   tools/ci.sh --fast        # dev lane only (tier-1 verify + lint)
 #
@@ -332,6 +333,33 @@ print(f"fleet smoke: ok ({results['ok']} requests, "
 EOF
 
 if [[ "${fast}" -eq 0 ]]; then
+  # Paper claims: rerun the Fig. 2 and Fig. 3 experiments (a few seconds)
+  # and check the orderings the paper reports on their JSON lines. Only
+  # orderings with clear margins are asserted; per-cell Fig. 3 orderings
+  # are not (some cells tie within 1e-4 MAE).
+  echo "==== [dev] paper claims (Fig. 2 + Fig. 3) ===="
+  ./build-dev/bench/bench_fig2_model_comparison > build-dev/paper_fig2.txt
+  ./build-dev/bench/bench_fig3_arch_ablation > build-dev/paper_fig3.txt
+  python3 - build-dev/paper_fig2.txt build-dev/paper_fig3.txt <<'EOF'
+import json, sys
+def json_line(path):
+    lines = [l for l in open(path) if l.startswith("JSON ")]
+    assert len(lines) == 1, f"{path}: want one JSON line, got {len(lines)}"
+    return json.loads(lines[0][len("JSON "):])
+fig2 = json_line(sys.argv[1])
+mae = {m["model"]: m["mae"] for m in fig2["models"]}
+best = min(mae, key=mae.get)
+assert best == "xgboost", f"Fig. 2: lowest MAE is {best}, not xgboost: {mae}"
+fig3 = json_line(sys.argv[2])
+xgb = {c["source"]: c["mae"] for c in fig3["cells"] if c["model"] == "xgboost"}
+gpu = (xgb["lassen"] + xgb["corona"]) / 2
+cpu = (xgb["quartz"] + xgb["ruby"]) / 2
+assert gpu > cpu, \
+    f"Fig. 3: xgboost GPU-sourced MAE {gpu:.4f} not above CPU-sourced {cpu:.4f}"
+print(f"paper claims: ok (Fig. 2 xgboost MAE {mae['xgboost']:.4f} lowest; "
+      f"Fig. 3 xgboost GPU/CPU-sourced MAE {gpu / cpu:.2f}x)")
+EOF
+
   # perfbench is its own top-level CMake project over src/ and tools/
   # (no GoogleTest or Google Benchmark), so no lane above builds it. Build
   # the two programs perfbench/run.py runs, so a change to a module's
