@@ -4,11 +4,12 @@
 //
 // A BinnedMatrix is built once per fit: each feature's value range is cut
 // into at most `max_bins` (<= 256) quantile bins and every cell is encoded
-// as a std::uint8_t bin index, stored column-major so the trainer's
-// per-feature histogram passes stream sequentially through memory. Split
-// thresholds are the midpoints between the last raw value of one bin and
-// the first raw value of the next, so a tree trained on bin codes predicts
-// identically on the raw feature values it was fit on.
+// as a std::uint8_t bin index, stored column-major so a node split streams
+// one feature's codes (hist::BinTable adds the row-major copy that
+// histogram passes read). Split thresholds are the midpoints between the
+// last raw value of one bin and the first raw value of the next, so a tree
+// trained on bin codes predicts identically on the raw feature values it
+// was fit on.
 //
 // Binning is deterministic: cut points depend only on the sorted column
 // values, and the optional ThreadPool only distributes whole features, so

@@ -1,23 +1,29 @@
 // Multi-output CART regression tree.
 //
 // Splits minimize the summed per-output SSE (equivalently maximize
-// variance reduction). Split search is histogram-based: each feature is
-// quantized into at most kCartMaxBins quantile bins (ml/binning.hpp), the
-// trainer accumulates per-node (count, target-sum) histograms, derives
-// each split pair's larger child by sibling subtraction
-// (ml/hist_common.hpp), and sweeps bin boundaries instead of rows. A
-// forest bins its training matrix once and shares it across all trees
-// (see fit_rows_binned). Feature subsampling (mtry) is drawn per node, as
-// in classic random forests. All randomness is seeded; parallel feature
-// sweeps reduce in fixed feature order, so fits are bit-deterministic.
+// variance reduction). Trees grow on the shared histogram builder
+// (ml/hist_common.hpp), the one GBT uses too: each feature is quantized
+// into at most kCartMaxBins quantile bins, per-node (count, target-sum)
+// histograms are filled row by row, each split pair's larger child is
+// derived by sibling subtraction, and bin boundaries are swept instead of
+// rows. This file keeps only the CART statistic: the SSE sweep with the
+// min_samples_*/min_gain gates, the per-node feature subsets (mtry, as in
+// classic random forests) and the mean leaf values. A forest bins its
+// training matrix once and shares the table across all trees (see
+// fit_rows_binned). All randomness is seeded and feature candidates reduce
+// in fixed feature order, so fits are bit-deterministic at any thread
+// count.
 #pragma once
 
 #include <cstdint>
 
-#include "ml/binning.hpp"
 #include "ml/model.hpp"
 
 namespace mphpc::ml {
+
+namespace hist {
+class BinTable;
+}
 
 struct TreeOptions {
   int max_depth = 16;
@@ -51,12 +57,12 @@ class DecisionTree final : public Regressor {
   void fit(const Matrix& x, const Matrix& y, ThreadPool* pool = nullptr) override;
 
   /// Fits on a row multiset (duplicates allowed — used for bootstrap
-  /// sampling by the forest) over a pre-built BinnedMatrix of `x`
-  /// (shape-checked). The forest builds the binning once and shares it
+  /// sampling by the forest) over a pre-built bin table of `x`
+  /// (shape-checked). The forest builds the table once and shares it
   /// across all trees.
   void fit_rows_binned(const Matrix& x, const Matrix& y,
                        std::span<const std::size_t> rows,
-                       const BinnedMatrix& binned, ThreadPool* pool = nullptr);
+                       const hist::BinTable& table, ThreadPool* pool = nullptr);
 
   [[nodiscard]] Matrix predict(const Matrix& x) const override;
 

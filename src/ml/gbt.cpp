@@ -31,56 +31,6 @@ double GbtTree::predict(std::span<const double> x) const {
 
 namespace {
 
-struct SplitCandidate {
-  double gain = 0.0;
-  double threshold = 0.0;
-  int feature = -1;
-  int bin = -1;  ///< last bin going left (codes <= bin)
-};
-
-/// Per-fit shared context: the quantile bin codes of X, column-major for
-/// the node partition and row-major for histograms and bin-code walks, plus
-/// the pool for in-tree per-feature parallelism. The pool is used at one
-/// level only: a multi-output fit fans out over outputs, so its trees run
-/// serially.
-struct BuildContext {
-  const Matrix& x;
-  BinnedMatrix binned;  ///< uint8 codes, column-major
-  hist::Layout layout;  ///< ragged (G, H) layout
-  /// Row-major: [row * features + feature] = the cell's histogram bin, i.e.
-  /// its feature's layout offset plus its code, so a row finds its bin in
-  /// every feature's histogram slice with one load.
-  std::vector<std::uint32_t> row_bins;
-  ThreadPool* pool = nullptr;  ///< in-tree pool (null: serial trees)
-
-  BuildContext(const Matrix& matrix, const GbtOptions& opt, ThreadPool* p,
-               std::size_t n_out)
-      : x(matrix),
-        binned(BinnedMatrix::build(x, opt.max_bins, p)),
-        layout(hist::Layout::make(binned, 2)),
-        pool(n_out > 1 ? nullptr : p) {
-    const std::size_t n = x.rows();
-    const std::size_t n_feat = x.cols();
-    row_bins.resize(n * n_feat);
-    for (std::size_t f = 0; f < n_feat; ++f) {
-      const std::uint8_t* codes = binned.codes(f);
-      const auto offset = static_cast<std::uint32_t>(layout.offsets[f]);
-      for (std::size_t r = 0; r < n; ++r) row_bins[r * n_feat + f] = offset + codes[r];
-    }
-  }
-
-  /// Histogram bins of row r, one per feature.
-  [[nodiscard]] const std::uint32_t* bins_of_row(std::size_t r) const noexcept {
-    return row_bins.data() + r * x.cols();
-  }
-};
-
-/// Per-node histogram: interleaved (G, H) per (feature, bin), laid out
-/// raggedly via hist::Layout (width 2) so near-constant features (one-hots,
-/// flags) cost a few cells instead of a full max_bins stride.
-using Histogram = std::vector<double>;
-using hist::SiblingPair;
-
 /// One (G, H) histogram cell as a two-lane vector: a pair add is two
 /// independent IEEE additions, bit-identical to the scalar ones.
 using Pair = double __attribute__((vector_size(16)));
@@ -95,10 +45,10 @@ inline void store_pair(double* cell, Pair v) noexcept {
   std::memcpy(cell, &v, sizeof v);
 }
 
-/// Sweeps the bin boundaries of feature f in `hist` and records the best
-/// split for a node with totals (sum_g, sum_h). The cumulative left sums
-/// accumulate in ascending bin order, so re-summing bins [0, best.bin]
-/// later reproduces the winning child sums bit-for-bit.
+/// Sweeps the bin boundaries of one feature's (G, H) histogram `slice`
+/// and records the best split for a node with totals (sum_g, sum_h). The
+/// cumulative left sums accumulate in ascending bin order, so re-summing
+/// bins [0, best.bin] later reproduces the winning child sums bit-for-bit.
 ///
 /// Bin occupancy is data-dependent, so per-bin branches mispredict: the
 /// loop computes every boundary's gain and selects without branching,
@@ -106,23 +56,20 @@ inline void store_pair(double* cell, Pair v) noexcept {
 /// neither child is under min_child_weight; the sweep stops at the first
 /// boundary whose left side is heavy enough but whose right side is not
 /// (hl only grows, hr only shrinks); the first strictly greater gain wins.
-void best_bin_split(const BinnedMatrix& bm, std::size_t f,
-                    const hist::Layout& layout, const Histogram& hist,
+void best_bin_split(std::size_t f, const FeatureBins& fb, const double* slice,
                     double sum_g, double sum_h, const GbtOptions& opt,
-                    SplitCandidate& best) {
-  const FeatureBins& fb = bm.bins(f);
+                    hist::Split& best) {
   const int nb = fb.n_bins();
-  const double* slice = hist.data() + layout.begin_cell(f);
   const double parent_score = sum_g * sum_g / (sum_h + opt.lambda);
   const Pair lambda = {opt.lambda, opt.lambda};
   double best_gain = best.gain;
   int best_bin = -1;
   double gl = 0.0;
   double hl = 0.0;
-  for (int b = 0; b + 1 < nb; ++b) {
-    const auto bi = static_cast<std::size_t>(b);
-    gl += slice[2 * bi];
-    hl += slice[2 * bi + 1];
+  const double* cell = slice;
+  for (int b = 0; b + 1 < nb; ++b, cell += 2) {
+    gl += cell[0];
+    hl += cell[1];
     const double hr = sum_h - hl;
     const bool light_left = hl < opt.min_child_weight;
     const bool light_right = hr < opt.min_child_weight;
@@ -141,291 +88,105 @@ void best_bin_split(const BinnedMatrix& bm, std::size_t f,
   }
 }
 
-/// Bookkeeping for one tree level: dense node ids and their histograms.
-struct HistLevel {
-  std::vector<std::int32_t> nodes;  ///< tree node id per dense index
-  std::vector<Histogram> hists;     ///< per dense index
-};
+/// The boosted tree's statistic for hist::TreeBuilder: interleaved (G, H)
+/// per bin. Only the features sampled for the tree are swept, and a node
+/// needs hessian mass for two children to be swept at all.
+struct GbtStats {
+  using Node = GbtNode;
+  using Row = Pair;
 
-/// Level-wise histogram tree builder. One instance builds one
-/// boosted tree; shared per-tree state lives here so each level step stays
-/// small. In-sample rows live in a hist::NodePartition: one ascending
-/// array, stably partitioned so that every node owns a contiguous range
-/// and row order inside a node never depends on the split schedule.
-struct HistTreeBuilder {
   const GbtOptions& opt;
-  const BuildContext& ctx;
-  const BinnedMatrix& bm;
   std::span<const double> g;
   std::span<const double> h;
   std::span<const std::uint8_t> in_cols;  ///< per feature: sampled for this tree
   std::span<double> gain_sum;
   std::span<double> split_count;
-  const hist::Layout& layout;  ///< ragged (G, H) histogram layout
 
-  hist::NodePartition part;  ///< in-sample rows, node-partitioned
-  GbtTree tree;
-  std::vector<double> node_g;  ///< per node id, gradient/hessian totals
-  std::vector<double> node_h;
-  std::vector<int> node_bin;   ///< per node id, split bin (codes <= bin go left)
-  int levels = 0;              ///< depth of the built tree
-
-  HistTreeBuilder(const BuildContext& context, const GbtOptions& options,
-                  std::span<const double> grad, std::span<const double> hess,
-                  std::span<const std::uint8_t> in_sample,
-                  std::span<const std::uint8_t> cols,
-                  std::span<double> gains, std::span<double> counts)
-      : opt(options), ctx(context), bm(context.binned), g(grad), h(hess),
-        in_cols(cols), gain_sum(gains), split_count(counts),
-        layout(context.layout) {
-    std::vector<std::uint32_t> rows;
-    rows.reserve(ctx.x.rows());
-    for (std::size_t r = 0; r < ctx.x.rows(); ++r) {
-      if (in_sample[r]) rows.push_back(static_cast<std::uint32_t>(r));
-    }
-    part.reset(std::move(rows));
-    tree.nodes.emplace_back();
-    node_g = {0.0};
-    node_h = {0.0};
-    node_bin = {-1};
-    for (const std::uint32_t r : part.items(0)) {
-      node_g[0] += g[r];
-      node_h[0] += h[r];
-    }
+  static constexpr std::size_t width() noexcept { return 2; }
+  [[nodiscard]] int max_depth() const noexcept { return opt.max_depth; }
+  static constexpr double min_split_gain() noexcept { return 0.0; }
+  [[nodiscard]] Row row(std::uint32_t r) const noexcept { return Row{g[r], h[r]}; }
+  static void add(double* cell, Row gh) noexcept {
+    store_pair(cell, load_pair(cell) + gh);
   }
-
-  /// Runs fn(lo, hi) over blocks [lo, hi) of the features, spread over
-  /// the pool when the context has one. Each block's work is
-  /// self-contained and internally serial, so the result does not depend
-  /// on the blocking or the thread count.
-  void for_each_feature_block(
-      const std::function<void(std::size_t, std::size_t)>& fn) const {
-    const std::size_t n_feat = ctx.x.cols();
-    if (ctx.pool != nullptr && n_feat > 1) {
-      ctx.pool->parallel_chunks(0, n_feat,
-                                [&](std::size_t, std::size_t lo, std::size_t hi) {
-                                  fn(lo, hi);
-                                });
-      return;
-    }
-    fn(0, n_feat);
+  [[nodiscard]] bool splittable(const double* gh) const noexcept {
+    return !(gh[1] < 2.0 * opt.min_child_weight);
   }
-
-  /// Adds node rows `rows` to the (G, H) cells of features [lo, hi) in
-  /// `hist`, row by row: each row's g/h and bins load once for all
-  /// features. Rows come in ascending partition order, so every cell sums
-  /// the same values in the same order as a per-feature pass would.
-  /// Features left out by colsample are accumulated too and never read,
-  /// so the inner loop runs over contiguous features with no lookup in a
-  /// sampled-feature list; the extra cells cost only colsample < 1 fits.
-  void accumulate_rows(double* hist, std::span<const std::uint32_t> rows,
-                       std::size_t lo, std::size_t hi) const {
-    const auto add = [hist](std::uint32_t bin, Pair gh) {
-      double* cell = hist + 2 * static_cast<std::size_t>(bin);
-      store_pair(cell, load_pair(cell) + gh);
-    };
-    for (const std::uint32_t r : rows) {
-      const std::uint32_t* bins = ctx.bins_of_row(r);
-      const Pair gh = {g[r], h[r]};
-      for (std::size_t f = lo; f < hi; ++f) add(bins[f], gh);
-    }
+  static void begin_level(const std::vector<std::uint8_t>& /*open*/) noexcept {}
+  void sweep(std::size_t f, std::size_t /*dense*/, const FeatureBins& fb,
+             const double* slice, const double* gh, hist::Split& best) const {
+    if (in_cols[f]) best_bin_split(f, fb, slice, gh[0], gh[1], opt, best);
   }
-
-  /// Records feature f's best bin split for tree node nid, provided the
-  /// node has enough hessian mass for two children.
-  void sweep_node(std::size_t f, const Histogram& hist, std::size_t nid,
-                  SplitCandidate& best) const {
-    if (node_h[nid] < 2.0 * opt.min_child_weight) return;
-    best_bin_split(bm, f, layout, hist, node_g[nid], node_h[nid], opt, best);
-  }
-
-  /// Applies the winning split of dense node d: writes the parent's split,
-  /// appends the two children, stably partitions the parent's row range by
-  /// bin code, and derives child G/H sums (left by re-summing the winning
-  /// histogram prefix — the same additions the sweep performed, so the
-  /// totals match it bit-for-bit — right by subtraction).
-  void apply_split(const HistLevel& level, std::size_t d, const SplitCandidate& w,
-                   HistLevel& next, std::vector<SiblingPair>& pairs) {
-    const auto nid = static_cast<std::size_t>(level.nodes[d]);
-    const auto left_id = static_cast<int>(tree.nodes.size());
-    tree.nodes[nid].feature = w.feature;
-    tree.nodes[nid].threshold = w.threshold;
-    tree.nodes[nid].left = left_id;
-    tree.nodes[nid].right = left_id + 1;
-    tree.nodes.emplace_back();
-    tree.nodes.emplace_back();
-    node_bin[nid] = w.bin;
-    node_bin.insert(node_bin.end(), {-1, -1});
-
-    const std::uint8_t* codes = bm.codes(static_cast<std::size_t>(w.feature));
-    const std::size_t left_count = part.split(nid, codes, w.bin);
-
-    const double* slice = level.hists[d].data() +
-                          layout.begin_cell(static_cast<std::size_t>(w.feature));
-    double gl = 0.0;
-    double hl = 0.0;
-    for (int b = 0; b <= w.bin; ++b) {
-      gl += slice[2 * static_cast<std::size_t>(b)];
-      hl += slice[2 * static_cast<std::size_t>(b) + 1];
-    }
-    node_g.insert(node_g.end(), {gl, node_g[nid] - gl});
-    node_h.insert(node_h.end(), {hl, node_h[nid] - hl});
-
-    const std::size_t left_dense = next.nodes.size();
-    next.nodes.push_back(left_id);
-    next.nodes.push_back(left_id + 1);
-    const bool left_small =
-        left_count <= part.count(static_cast<std::size_t>(left_id) + 1);
-    pairs.push_back(left_small ? SiblingPair{d, left_dense, left_dense + 1}
-                               : SiblingPair{d, left_dense + 1, left_dense});
+  void on_split(const hist::Split& w) const {
     gain_sum[static_cast<std::size_t>(w.feature)] += w.gain;
     split_count[static_cast<std::size_t>(w.feature)] += 1.0;
   }
-
-  /// Builds the next level's histograms and, fused into the same pass,
-  /// that level's per-feature split candidates: each pair's smaller child
-  /// is accumulated from its rows, the larger derived by subtracting it
-  /// from the parent's histogram (whose buffer it inherits), and both are
-  /// swept while still cache-hot. Each feature block's work is
-  /// self-contained; the candidate reduction happens later in fixed
-  /// feature order.
-  std::vector<SplitCandidate> make_child_level(
-      HistLevel& level, HistLevel& next, const std::vector<SiblingPair>& pairs) {
-    const std::size_t n_next = next.nodes.size();
-    next.hists.resize(n_next);
-    for (const SiblingPair& pair : pairs) {
-      next.hists[pair.small_dense].assign(layout.cells(), 0.0);
-      next.hists[pair.big_dense] = std::move(level.hists[pair.parent_dense]);
-    }
-    std::vector<SplitCandidate> bests(ctx.x.cols() * n_next);
-    for_each_feature_block([&](std::size_t lo, std::size_t hi) {
-      for (const SiblingPair& pair : pairs) {
-        Histogram& small = next.hists[pair.small_dense];
-        Histogram& big = next.hists[pair.big_dense];
-        const auto small_nid =
-            static_cast<std::size_t>(next.nodes[pair.small_dense]);
-        const auto big_nid = static_cast<std::size_t>(next.nodes[pair.big_dense]);
-        accumulate_rows(small.data(), part.items(small_nid), lo, hi);
-        for (std::size_t f = lo; f < hi; ++f) {
-          if (!in_cols[f]) continue;
-          hist::subtract_sibling(big.data() + layout.begin_cell(f),
-                                 small.data() + layout.begin_cell(f),
-                                 layout.feature_cells(f));
-          sweep_node(f, small, small_nid, bests[f * n_next + pair.small_dense]);
-          sweep_node(f, big, big_nid, bests[f * n_next + pair.big_dense]);
-        }
-      }
-    });
-    return bests;
-  }
-
-  void build() {
-    const std::size_t n_feat = ctx.x.cols();
-    HistLevel level;
-    level.nodes = {0};
-    level.hists.emplace_back(layout.cells(), 0.0);
-    std::vector<SplitCandidate> bests(n_feat);
-    for_each_feature_block([&](std::size_t lo, std::size_t hi) {
-      accumulate_rows(level.hists[0].data(), part.items(0), lo, hi);
-      for (std::size_t f = lo; f < hi; ++f) {
-        if (in_cols[f]) sweep_node(f, level.hists[0], 0, bests[f]);
-      }
-    });
-
-    for (int depth = 0; depth < opt.max_depth && !level.nodes.empty(); ++depth) {
-      const std::size_t n_dense = level.nodes.size();
-      // Reduce the carried per-feature candidates in fixed feature order.
-      std::vector<SplitCandidate> winner(n_dense);
-      for (std::size_t f = 0; f < n_feat; ++f) {
-        for (std::size_t d = 0; d < n_dense; ++d) {
-          const SplitCandidate& c = bests[f * n_dense + d];
-          if (c.feature >= 0 && c.gain > winner[d].gain) winner[d] = c;
-        }
-      }
-      HistLevel next;
-      std::vector<SiblingPair> pairs;
-      for (std::size_t d = 0; d < n_dense; ++d) {
-        if (winner[d].feature >= 0 && winner[d].gain > 0.0) {
-          apply_split(level, d, winner[d], next, pairs);
-        }
-      }
-      if (next.nodes.empty()) break;
-      levels = depth + 1;
-      // Children at max depth become leaves; no histograms needed.
-      if (depth + 1 < opt.max_depth) {
-        bests = make_child_level(level, next, pairs);
-      }
-      level = std::move(next);
-    }
-
-    // Leaf weights: w* = -G/(H+lambda), shrunk by the learning rate.
-    for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
-      if (!tree.nodes[i].is_leaf()) continue;
-      tree.nodes[i].weight =
-          -node_g[i] / (node_h[i] + opt.lambda) * opt.learning_rate;
-    }
-  }
-
-  /// Adds the built tree's leaf weight to every row's prediction, exactly
-  /// once, as the tree walk on raw values would: an in-sample row takes
-  /// the weight of the leaf whose partition range holds it; an
-  /// out-of-sample row walks the tree on its bin codes, where
-  /// `code <= bin` holds exactly when `x <= thresholds[bin]` (compared
-  /// here as histogram bins, both offset by the feature's layout offset)
-  /// for every finite x, the only kind BinnedMatrix::build accepts.
-  /// That walk is branch-free and always takes `levels` steps: a leaf's
-  /// test always holds, and its left link is itself.
-  void add_leaf_weights(std::span<double> pred,
-                        std::span<const std::uint8_t> in_sample) const {
-    const std::vector<GbtNode>& nodes = tree.nodes;
-    struct Step {
-      std::uint32_t feature = 0;
-      std::uint32_t bin = std::numeric_limits<std::uint32_t>::max();
-      std::array<std::uint32_t, 2> child{};  ///< {row bin <= bin, row bin > bin}
-    };
-    std::vector<Step> steps(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const GbtNode& n = nodes[i];
-      if (n.is_leaf()) {
-        const double w = n.weight;
-        for (const std::uint32_t r : part.items(i)) pred[r] += w;
-        steps[i].child = {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i)};
-        continue;
-      }
-      const auto f = static_cast<std::size_t>(n.feature);
-      steps[i] = {static_cast<std::uint32_t>(f),
-                  static_cast<std::uint32_t>(layout.offsets[f]) +
-                      static_cast<std::uint32_t>(node_bin[i]),
-                  {static_cast<std::uint32_t>(n.left), static_cast<std::uint32_t>(n.right)}};
-    }
-    for (std::size_t r = 0; r < pred.size(); ++r) {
-      if (in_sample[r]) continue;
-      const std::uint32_t* bins = ctx.bins_of_row(r);
-      std::uint32_t i = 0;
-      for (int s = 0; s < levels; ++s) {
-        const Step& step = steps[i];
-        i = step.child[static_cast<std::size_t>(bins[step.feature] > step.bin)];
-      }
-      pred[r] += nodes[i].weight;
-    }
+  /// w* = -G/(H+lambda), shrunk by the learning rate.
+  void set_leaf(GbtNode& node, const double* gh) const noexcept {
+    node.weight = -gh[0] / (gh[1] + opt.lambda) * opt.learning_rate;
   }
 };
 
-/// Builds one boosted tree using per-node gradient histograms over the
-/// pre-binned features (see the header comment in gbt.hpp) and adds its
-/// leaf weights to `pred`.
-GbtTree build_tree_hist(const BuildContext& ctx, const GbtOptions& opt,
-                        std::span<const double> g, std::span<const double> h,
-                        std::span<const std::uint8_t> in_sample,
-                        std::span<const std::uint8_t> in_cols,
-                        std::span<double> gain_sum, std::span<double> split_count,
+/// Adds the built tree's leaf weight to every row's prediction, exactly
+/// once, as the tree walk on raw values would: an in-sample row takes the
+/// weight of the leaf whose partition range holds it; an out-of-sample row
+/// walks the tree on its bin codes, where `code <= bin` holds exactly when
+/// `x <= thresholds[bin]` (compared here as histogram bins, both offset by
+/// the feature's table offset) for every finite x, the only kind
+/// BinnedMatrix::build accepts. That walk is branch-free and always takes
+/// `levels` steps: a leaf's test always holds, and its left link is itself.
+void add_leaf_weights(hist::TreeBuilder<GbtStats>& builder,
+                      const hist::BinTable& table, std::span<double> pred,
+                      std::span<const std::uint8_t> in_sample) {
+  const std::vector<GbtNode>& nodes = builder.nodes();
+  struct Step {
+    std::uint32_t feature = 0;
+    std::uint32_t bin = std::numeric_limits<std::uint32_t>::max();
+    std::array<std::uint32_t, 2> child{};  ///< {row bin <= bin, row bin > bin}
+  };
+  std::vector<Step> steps(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const GbtNode& n = nodes[i];
+    if (n.is_leaf()) {
+      const double w = n.weight;
+      for (const std::uint32_t r : builder.items(i)) pred[r] += w;
+      steps[i].child = {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i)};
+      continue;
+    }
+    const auto f = static_cast<std::size_t>(n.feature);
+    steps[i] = {static_cast<std::uint32_t>(f),
+                static_cast<std::uint32_t>(table.offset(f)) +
+                    static_cast<std::uint32_t>(builder.bin(i)),
+                {static_cast<std::uint32_t>(n.left), static_cast<std::uint32_t>(n.right)}};
+  }
+  for (std::size_t r = 0; r < pred.size(); ++r) {
+    if (in_sample[r]) continue;
+    const std::uint32_t* bins = table.row(r);
+    std::uint32_t i = 0;
+    for (int s = 0; s < builder.levels(); ++s) {
+      const Step& step = steps[i];
+      i = step.child[static_cast<std::size_t>(bins[step.feature] > step.bin)];
+    }
+    pred[r] += nodes[i].weight;
+  }
+}
+
+/// Builds one boosted tree on the shared histogram builder (see the header
+/// comment in gbt.hpp) and adds its leaf weights to `pred`.
+GbtTree build_tree_hist(const hist::BinTable& table, ThreadPool* pool,
+                        GbtStats stats, std::span<const std::uint8_t> in_sample,
                         std::span<double> pred) {
-  HistTreeBuilder builder(ctx, opt, g, h, in_sample, in_cols, gain_sum, split_count);
+  std::vector<std::uint32_t> rows;
+  rows.reserve(table.rows());
+  for (std::size_t r = 0; r < table.rows(); ++r) {
+    if (in_sample[r]) rows.push_back(static_cast<std::uint32_t>(r));
+  }
+  hist::TreeBuilder<GbtStats> builder(table, stats, std::move(rows), pool);
   builder.build();
-  builder.add_leaf_weights(pred, in_sample);
+  add_leaf_weights(builder, table, pred, in_sample);
   // Take the nodes out instead of copying them, trimmed to size: the
   // ensemble keeps every tree of the fit.
-  GbtTree tree = std::move(builder.tree);
+  GbtTree tree{std::move(builder.nodes())};
   tree.nodes.shrink_to_fit();
   return tree;
 }
@@ -554,9 +315,11 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
 
   const int start_round = begin_fit(n_feat, n_out);
 
-  GbtOptions build_opt = options_;
-  build_opt.max_bins = resolve_max_bins(options_.max_bins, n);
-  const BuildContext ctx(x, build_opt, pool, n_out);
+  const hist::BinTable table(
+      BinnedMatrix::build(x, resolve_max_bins(options_.max_bins, n), pool));
+  // The pool is used at one level only: a multi-output fit fans out over
+  // outputs, so its trees run serially.
+  ThreadPool* tree_pool = n_out > 1 ? nullptr : pool;
 
   const auto n_cols_sampled = static_cast<std::size_t>(std::max(
       1.0, std::round(options_.colsample * static_cast<double>(n_feat))));
@@ -638,9 +401,9 @@ void GbtRegressor::fit_impl(const Matrix& x, const Matrix& y,
       fill_sample_mask(st.rng, st.in_sample, n, n_rows_sampled);
       fill_sample_mask(st.rng, st.in_cols, n_feat, n_cols_sampled);
 
-      ensemble.push_back(build_tree_hist(ctx, build_opt, st.g, st.h, st.in_sample,
-                                         st.in_cols, gain_by_output_[k],
-                                         count_by_output_[k], st.pred));
+      const GbtStats stats{options_, st.g, st.h, st.in_cols, gain_by_output_[k],
+                           count_by_output_[k]};
+      ensemble.push_back(build_tree_hist(table, tree_pool, stats, st.in_sample, st.pred));
     }
   };
 

@@ -7,16 +7,18 @@
 //   leaf weight w* = -G / (H + lambda)
 //
 // Split search is histogram-based (XGBoost's `hist` method): each feature
-// is quantized into at most max_bins quantile bins once per fit
-// (ml/binning.hpp) and a row-major copy of the codes is kept. A node's
+// is quantized into at most max_bins quantile bins once per fit, and trees
+// grow on the histogram builder CART shares (ml/hist_common.hpp). A node's
 // gradient/hessian histogram is filled in one pass over its rows for all
 // features, so each row's gradient and hessian load once (only the
 // features sampled for the tree are swept); each split pair's larger child
 // is derived by subtracting the smaller child's histogram from the
-// parent's, and bin boundaries are swept instead of rows. After each tree,
-// in-sample rows take their leaf's weight from the node partition's leaf
-// ranges and out-of-sample rows walk the tree on their bin codes, so no
-// round walks the raw feature values. Fits need finite feature values
+// parent's, and bin boundaries are swept instead of rows. gbt.cpp keeps
+// only the (G, H) statistic: its two-lane add, the branch-free boundary
+// sweep with the min_child_weight gate, and the leaf weights. After each
+// tree, in-sample rows take their leaf's weight from the node partition's
+// leaf ranges and out-of-sample rows walk the tree on their bin codes, so
+// no round walks the raw feature values. Fits need finite feature values
 // (binning rejects NaN and infinities).
 //
 // The ThreadPool is used at one level only: over outputs when there are

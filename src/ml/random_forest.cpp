@@ -5,7 +5,7 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "ml/binning.hpp"
+#include "ml/hist_common.hpp"
 
 namespace mphpc::ml {
 
@@ -31,8 +31,8 @@ void RandomForest::fit(const Matrix& x, const Matrix& y, ThreadPool* pool) {
   const auto n_sample = static_cast<std::size_t>(
       std::max(1.0, options_.subsample * static_cast<double>(n)));
 
-  // Quantize X once and share the codes across every tree.
-  const BinnedMatrix binned = BinnedMatrix::build(x, kCartMaxBins, pool);
+  // Quantize X once and share the bin table across every tree.
+  const hist::BinTable table(BinnedMatrix::build(x, kCartMaxBins, pool));
 
   const auto build = [&](std::size_t t) {
     Rng rng(derive_seed(options_.seed, "tree", static_cast<std::uint64_t>(t)));
@@ -42,7 +42,7 @@ void RandomForest::fit(const Matrix& x, const Matrix& y, ThreadPool* pool) {
     opts.seed = derive_seed(options_.seed, "features", static_cast<std::uint64_t>(t));
     trees_[t] = DecisionTree(opts);
     // Trees are built serially inside; parallelism is across trees.
-    trees_[t].fit_rows_binned(x, y, rows, binned, nullptr);
+    trees_[t].fit_rows_binned(x, y, rows, table, nullptr);
   };
 
   if (pool != nullptr) {

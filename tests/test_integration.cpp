@@ -313,6 +313,16 @@ TEST(Cli, RejectsUnknownFlagsAndMalformedNumbers) {
       {"evaluate --checkpoint-every 2", "--checkpoint-every"},  // train-only
       {"train --tree-method exact", "--tree-method"},  // removed: GBT is hist
       {"serve --state-dir unused --quantize", "--quantize"},  // removed knob
+      // Out of range: each would build a dataset before failing.
+      {"sched-scale --jobs -1", "--jobs"},
+      {"sched-scale --depth -3", "--depth"},     // 0 is unlimited, not negative
+      {"sched-scale --kill-prob 1.5", "--kill-prob"},
+      {"sched-faults --mttr-h -1", "--mttr-h"},
+      {"train --bins 1", "--bins"},              // 0 is auto; 2..256 otherwise
+      {"train --bins 257", "--bins"},
+      {"train --rounds 0", "--rounds"},
+      {"serve --state-dir unused --workers 0", "--workers"},
+      {"sched-faults --node-mtbf-h inf", "--node-mtbf-h"},
   };
   for (const auto& [args, flag] : cases) {
     const CliResult r = run_cli(args);

@@ -13,6 +13,7 @@
 #include "ml/compiled_ensemble.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
+#include "ml/hist_common.hpp"
 #include "ml/linear_regressor.hpp"
 #include "ml/mean_regressor.hpp"
 #include "ml/metrics.hpp"
@@ -307,7 +308,8 @@ TEST(DecisionTree, FitRowsSubset) {
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r < 100; ++r) rows.push_back(r);
   DecisionTree tree;
-  tree.fit_rows_binned(p.x, p.y, rows, BinnedMatrix::build(p.x, kCartMaxBins));
+  tree.fit_rows_binned(p.x, p.y, rows,
+                       hist::BinTable(BinnedMatrix::build(p.x, kCartMaxBins)));
   EXPECT_TRUE(tree.fitted());
 }
 
@@ -962,22 +964,25 @@ std::string digest_importances(const Regressor& model) {
   return digest(text);
 }
 
+std::string serialize_tree(const DecisionTree& tree) {
+  std::string out = "tree " + std::to_string(tree.nodes().size()) + "\n";
+  for (const TreeNode& node : tree.nodes()) {
+    out += std::to_string(node.feature) + " " + format_double(node.threshold) +
+           " " + std::to_string(node.left) + " " + std::to_string(node.right);
+    // Appended piecewise: GCC 12's -Wrestrict misfires on `" " +
+    // format_double(v)` here under Release inlining.
+    for (const double v : node.value) {
+      out += ' ';
+      out += format_double(v);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
 std::string serialize_forest(const RandomForest& forest) {
   std::string out;
-  for (const DecisionTree& tree : forest.trees()) {
-    out += "tree " + std::to_string(tree.nodes().size()) + "\n";
-    for (const TreeNode& node : tree.nodes()) {
-      out += std::to_string(node.feature) + " " + format_double(node.threshold) +
-             " " + std::to_string(node.left) + " " + std::to_string(node.right);
-      // Appended piecewise: GCC 12's -Wrestrict misfires on `" " +
-      // format_double(v)` here under Release inlining.
-      for (const double v : node.value) {
-        out += ' ';
-        out += format_double(v);
-      }
-      out += "\n";
-    }
-  }
+  for (const DecisionTree& tree : forest.trees()) out += serialize_tree(tree);
   return out;
 }
 
@@ -1025,6 +1030,47 @@ TEST(TrainingGolden, HistRandomForest) {
     model.fit(p.x, p.y, p_pool);
     EXPECT_EQ(digest(serialize_forest(model)), "1289cc6e6b18ae42");
     EXPECT_EQ(digest_importances(model), "ce0c4ca613efc03a");
+  }
+}
+
+// The option branches the fits above never take: a standalone tree with
+// per-node feature subsampling and every CART gate on, and a GBT with a
+// split penalty, a heavy child-weight gate, a small lambda, coarse bins
+// and column subsampling.
+TEST(TrainingGolden, GatedDecisionTree) {
+  const Problem p = make_wide_problem(500, 94);
+  TreeOptions options;
+  options.max_depth = 10;
+  options.max_features = 3;
+  options.min_samples_split = 8;
+  options.min_samples_leaf = 3;
+  options.min_gain = 0.2;
+  options.seed = 5;
+  ThreadPool pool(3);
+  for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    DecisionTree model(options);
+    model.fit(p.x, p.y, p_pool);
+    EXPECT_EQ(digest(serialize_tree(model)), "0d95cbdec99b0bf2");
+    EXPECT_EQ(digest_importances(model), "f3b7db916ef20a2c");
+  }
+}
+
+TEST(TrainingGolden, RegularizedHistGbt) {
+  const Problem p = make_wide_problem(600, 95);
+  GbtOptions options;
+  options.n_rounds = 25;
+  options.max_depth = 6;
+  options.gamma = 0.02;
+  options.min_child_weight = 4.0;
+  options.lambda = 0.5;
+  options.max_bins = 16;
+  options.colsample = 0.6;
+  ThreadPool pool(3);
+  for (ThreadPool* p_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    GbtRegressor model(options);
+    model.fit(p.x, p.y, p_pool);
+    EXPECT_EQ(digest(model.serialize()), "7767084d5440b804");
+    EXPECT_EQ(digest_importances(model), "6e2ced5f96798128");
   }
 }
 

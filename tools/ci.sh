@@ -333,14 +333,18 @@ print(f"fleet smoke: ok ({results['ok']} requests, "
 EOF
 
 if [[ "${fast}" -eq 0 ]]; then
-  # Paper claims: rerun the Fig. 2 and Fig. 3 experiments (a few seconds)
-  # and check the orderings the paper reports on their JSON lines. Only
-  # orderings with clear margins are asserted; per-cell Fig. 3 orderings
-  # are not (some cells tie within 1e-4 MAE).
-  echo "==== [dev] paper claims (Fig. 2 + Fig. 3) ===="
+  # Paper claims: rerun the Fig. 2, 3, 6 and 7/8 experiments and check the
+  # orderings the paper reports on their JSON lines. Only orderings with
+  # clear margins are asserted; per-cell Fig. 3 orderings are not (some
+  # cells tie within 1e-4 MAE), nor is Model-based against Random in
+  # Fig. 7/8 (they tie within 0.1%).
+  echo "==== [dev] paper claims (Fig. 2, 3, 6, 7/8) ===="
   ./build-dev/bench/bench_fig2_model_comparison > build-dev/paper_fig2.txt
   ./build-dev/bench/bench_fig3_arch_ablation > build-dev/paper_fig3.txt
-  python3 - build-dev/paper_fig2.txt build-dev/paper_fig3.txt <<'EOF'
+  ./build-dev/bench/bench_fig6_feature_importance > build-dev/paper_fig6.txt
+  ./build-dev/bench/bench_fig7_8_scheduling > build-dev/paper_fig7_8.txt
+  python3 - build-dev/paper_fig2.txt build-dev/paper_fig3.txt \
+    build-dev/paper_fig6.txt build-dev/paper_fig7_8.txt <<'EOF'
 import json, sys
 def json_line(path):
     lines = [l for l in open(path) if l.startswith("JSON ")]
@@ -356,8 +360,21 @@ gpu = (xgb["lassen"] + xgb["corona"]) / 2
 cpu = (xgb["quartz"] + xgb["ruby"]) / 2
 assert gpu > cpu, \
     f"Fig. 3: xgboost GPU-sourced MAE {gpu:.4f} not above CPU-sourced {cpu:.4f}"
+fig6 = json_line(sys.argv[3])
+ranked = sorted(fig6["importances"], key=lambda i: i["importance"], reverse=True)
+top2 = {i["feature"] for i in ranked[:2]}
+assert top2 == {"uses_gpu", "cores"}, \
+    f"Fig. 6: the two largest importances are {ranked[:2]}, not uses_gpu and cores"
+fig78 = json_line(sys.argv[4])
+makespan = {s["strategy"]: s["makespan_s"] for s in fig78["strategies"]}
+assert makespan["Model-based"] < makespan["Round-Robin"], \
+    f"Fig. 7/8: Model-based makespan not below Round-Robin's: {makespan}"
 print(f"paper claims: ok (Fig. 2 xgboost MAE {mae['xgboost']:.4f} lowest; "
-      f"Fig. 3 xgboost GPU/CPU-sourced MAE {gpu / cpu:.2f}x)")
+      f"Fig. 3 xgboost GPU/CPU-sourced MAE {gpu / cpu:.2f}x; "
+      f"Fig. 6 top two {ranked[0]['feature']} {ranked[0]['importance']:.3f}, "
+      f"{ranked[1]['feature']} {ranked[1]['importance']:.3f}; "
+      f"Fig. 7/8 Model-based {makespan['Model-based']:.0f} s < "
+      f"Round-Robin {makespan['Round-Robin']:.0f} s)")
 EOF
 
   # perfbench is its own top-level CMake project over src/ and tools/
@@ -373,9 +390,12 @@ EOF
   # the packed 32- and 64-bit words, cut tables, grouped single-row walk
   # and gather-based vector walk; assert the
   # parity tests ran under ASan/UBSan (--no-tests=error fails the lane if
-  # they vanish).
-  ctest --preset asan -R 'CompiledParity|QuantizedParity|WideWordParity' --no-tests=error \
-    --output-on-failure
+  # they vanish). The histogram tree builder likewise writes cells at
+  # hist + width * bin from offset bin-table entries; its golden and
+  # thread-count determinism fits must run under ASan too.
+  ctest --preset asan \
+    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts' \
+    --no-tests=error --output-on-failure
   if [[ "${with_tsan}" -eq 1 ]]; then
     # The full suite already ran under TSan above; this re-run asserts the
     # fault/determinism/checkpoint/serve/supervisor tests (the ones most

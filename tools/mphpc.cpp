@@ -23,9 +23,9 @@
 //
 // Every command is deterministic for a given set of flags (serve excepted:
 // it reacts to whatever requests arrive). Each command accepts only its own
-// flags: an unknown flag, a missing value or a malformed number exits 2
-// with a message naming the flag, before any work starts. GBT models always
-// train with histogram split search.
+// flags: an unknown flag, a missing value, a malformed number or a number
+// outside the flag's range exits 2 with a message naming the flag, before
+// any work starts. GBT models always train with histogram split search.
 //
 // The long-running commands (train --checkpoint-every, sched-scale, serve)
 // install the ShutdownLatch: SIGINT/SIGTERM flushes their on-disk state at
@@ -63,6 +63,7 @@
 #include "core/predictor.hpp"
 #include "data/csv.hpp"
 #include "data/split.hpp"
+#include "ml/binning.hpp"
 #include "sched/easy_scheduler.hpp"
 #include "sched/faults.hpp"
 #include "sched/swf.hpp"
@@ -83,7 +84,30 @@ enum class FlagKind : std::uint8_t { kBool, kInt, kDouble, kText };
 struct Flag {
   std::string_view name;  ///< without the leading "--"
   FlagKind kind;
+  /// Accepted values of a numeric flag: [min, max], or (min, max] when
+  /// `above_min`; `or_zero` also admits 0 as a sentinel below the range.
+  double min = 0.0;
+  double max = 0.0;
+  bool above_min = false;
+  bool or_zero = false;
 };
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr double kDoubleMax = std::numeric_limits<double>::max();
+
+constexpr Flag text_flag(std::string_view name) { return {name, FlagKind::kText}; }
+constexpr Flag bool_flag(std::string_view name) { return {name, FlagKind::kBool}; }
+/// An int flag accepting [min, max] (and 0 when `or_zero`).
+constexpr Flag int_flag(std::string_view name, int min, int max = kIntMax,
+                        bool or_zero = false) {
+  return {name, FlagKind::kInt, static_cast<double>(min), static_cast<double>(max),
+          false, or_zero};
+}
+/// A finite double flag accepting [min, max], or (min, max] when `above_min`.
+constexpr Flag double_flag(std::string_view name, double min, double max = kDoubleMax,
+                           bool above_min = false) {
+  return {name, FlagKind::kDouble, min, max, above_min, false};
+}
 
 /// A command line the subcommand cannot accept; main() exits 2 on it.
 class UsageError : public std::runtime_error {
@@ -104,9 +128,29 @@ T parse_number(std::string_view name, const std::string& text) {
   return value;
 }
 
+/// Throws UsageError naming `--flag` when `value` is outside its range.
+void check_range(const Flag& flag, double value) {
+  const bool in_range = flag.above_min ? value > flag.min && value <= flag.max
+                                       : value >= flag.min && value <= flag.max;
+  if (in_range || (flag.or_zero && value == 0.0)) return;
+  const auto number = [&](double v) {
+    return flag.kind == FlagKind::kInt ? std::to_string(static_cast<long long>(v))
+                                       : format_double(v);
+  };
+  const double type_max = flag.kind == FlagKind::kInt ? kIntMax : kDoubleMax;
+  std::string range = flag.max < type_max
+                          ? "in " + std::string(flag.above_min ? "(" : "[") +
+                                number(flag.min) + ", " + number(flag.max) + "]"
+                          : (flag.above_min ? "> " : ">= ") + number(flag.min);
+  if (flag.or_zero) range = "0 or " + range;
+  throw UsageError("--" + std::string(flag.name) + ": " + number(value) +
+                   " is out of range (must be " + range + ")");
+}
+
 /// `--flag value` parser checked against one subcommand's flag list:
-/// unknown flags, stray arguments, missing values and malformed numbers
-/// throw UsageError up front, so get_int/get_double never see bad text.
+/// unknown flags, stray arguments, missing values, malformed numbers and
+/// numbers outside a flag's range throw UsageError up front, so
+/// get_int/get_double never see bad text.
 class Args {
  public:
   Args(std::span<char* const> argv, std::span<const Flag> known) {
@@ -129,8 +173,10 @@ class Args {
         throw UsageError("--" + std::string(name) + " needs a value");
       }
       std::string value = argv[++i];
-      if (flag->kind == FlagKind::kInt) (void)parse_number<int>(name, value);
-      if (flag->kind == FlagKind::kDouble) (void)parse_number<double>(name, value);
+      if (flag->kind == FlagKind::kInt) check_range(*flag, parse_number<int>(name, value));
+      if (flag->kind == FlagKind::kDouble) {
+        check_range(*flag, parse_number<double>(name, value));
+      }
       values_[std::string(name)] = std::move(value);
     }
   }
@@ -838,10 +884,6 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(args.get_int("threads", 0));
 
   const int workers = args.get_int("workers", 1);
-  if (workers < 1) {
-    std::fprintf(stderr, "serve: --workers must be >= 1\n");
-    return 2;
-  }
   if (workers == 1) {
     serve::ServeCore core(std::move(core_options));
     // Progress goes to stderr: stdout is the reply channel in stdio mode.
@@ -932,7 +974,7 @@ void usage() {
       "                  crash-recovering fleet and requires --socket)\n\n"
       "Every command that builds a dataset takes --inputs N and --campaign-dir DIR;\n"
       "every command that trains a model takes --rounds N, --depth N and --bins B.\n"
-      "Unknown flags and malformed numbers exit 2.\n");
+      "Unknown flags, malformed numbers and numbers out of a flag's range exit 2.\n");
 }
 
 /// A subcommand and the flags it accepts.
@@ -951,47 +993,54 @@ std::vector<Flag> flags(std::initializer_list<Flag> own,
 }
 
 const std::vector<Command>& commands() {
-  using K = FlagKind;
-  static constexpr Flag kDataset[] = {{"inputs", K::kInt}, {"campaign-dir", K::kText}};
-  static constexpr Flag kModel[] = {
-      {"rounds", K::kInt}, {"depth", K::kInt}, {"bins", K::kInt}};
-  static constexpr Flag kFaults[] = {{"jobs", K::kInt},       {"node-mtbf-h", K::kDouble},
-                                     {"mttr-h", K::kDouble},  {"kill-prob", K::kDouble},
-                                     {"max-attempts", K::kInt}, {"seed", K::kInt},
-                                     {"out", K::kText}};
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  static constexpr Flag kDataset[] = {int_flag("inputs", 1), text_flag("campaign-dir")};
+  // --bins 0 picks the bin count from the row count.
+  static constexpr Flag kModel[] = {int_flag("rounds", 1), int_flag("depth", 1),
+                                    int_flag("bins", 2, ml::BinnedMatrix::kMaxBins, true)};
+  // --node-mtbf-h 0 turns node faults off.
+  static constexpr Flag kFaults[] = {
+      int_flag("jobs", 1),           double_flag("node-mtbf-h", 0.0),
+      double_flag("mttr-h", 0.0, kDoubleMax, true), double_flag("kill-prob", 0.0, 1.0),
+      int_flag("max-attempts", 1),   int_flag("seed", kIntMin),
+      text_flag("out")};
   static const std::vector<Command> all = {
-      {"dataset", cmd_dataset, flags({{"out", K::kText}}, {kDataset})},
+      {"dataset", cmd_dataset, flags({text_flag("out")}, {kDataset})},
       {"train", cmd_train,
-       flags({{"out", K::kText}, {"checkpoint-every", K::kInt}, {"resume", K::kBool}},
+       flags({text_flag("out"), int_flag("checkpoint-every", 0), bool_flag("resume")},
              {kDataset, kModel})},
-      {"evaluate", cmd_evaluate, flags({{"model", K::kText}}, {kDataset, kModel})},
+      {"evaluate", cmd_evaluate, flags({text_flag("model")}, {kDataset, kModel})},
       {"predict", cmd_predict,
-       flags({{"app", K::kText}, {"system", K::kText}, {"scale", K::kText},
-              {"model", K::kText}},
+       flags({text_flag("app"), text_flag("system"), text_flag("scale"),
+              text_flag("model")},
              {kDataset, kModel})},
       {"schedule", cmd_schedule,
-       flags({{"jobs", K::kInt}, {"strategy", K::kText}}, {kDataset, kModel})},
+       flags({int_flag("jobs", 1), text_flag("strategy")}, {kDataset, kModel})},
       {"sched-faults", cmd_sched_faults,
-       flags({{"checkpoint-overhead-s", K::kDouble}, {"checkpoint-interval-s", K::kDouble},
-              {"swf", K::kText}, {"swf-procs-per-node", K::kInt},
-              {"swf-max-nodes", K::kInt}},
+       flags({double_flag("checkpoint-overhead-s", 0.0),
+              double_flag("checkpoint-interval-s", 0.0), text_flag("swf"),
+              int_flag("swf-procs-per-node", 1), int_flag("swf-max-nodes", 1)},
              {kDataset, kModel, kFaults})},
+      // --depth 0 is the unlimited backfill scan.
       {"sched-scale", cmd_sched_scale,
-       flags({{"depth", K::kInt}, {"arrival-rate", K::kDouble}}, {kDataset, kFaults})},
+       flags({int_flag("depth", 0), double_flag("arrival-rate", 0.0)},
+             {kDataset, kFaults})},
       {"serve", cmd_serve,
-       flags({{"state-dir", K::kText},          {"model", K::kText},
-              {"socket", K::kText},             {"drift-window", K::kInt},
-              {"trip-mae", K::kDouble},         {"recover-mae", K::kDouble},
-              {"window-capacity", K::kInt},     {"refit-every", K::kInt},
-              {"min-refit-rows", K::kInt},      {"refit-rounds", K::kInt},
-              {"max-model-rounds", K::kInt},    {"cold-rounds", K::kInt},
-              {"drift-max-apps", K::kInt},      {"drift-app-window", K::kInt},
-              {"queue-cap", K::kInt},           {"batch-max", K::kInt},
-              {"deadline-ms", K::kInt},         {"threads", K::kInt},
-              {"workers", K::kInt},             {"restart-max", K::kInt},
-              {"restart-base-delay-s", K::kDouble}, {"restart-max-delay-s", K::kDouble},
-              {"heartbeat-timeout-s", K::kDouble},  {"seed", K::kInt},
-              {"store-poll-s", K::kDouble}})},
+       flags({text_flag("state-dir"),           text_flag("model"),
+              text_flag("socket"),              int_flag("drift-window", 1),
+              double_flag("trip-mae", 0.0, kDoubleMax, true),
+              double_flag("recover-mae", 0.0, kDoubleMax, true),
+              int_flag("window-capacity", 1),   int_flag("refit-every", 0),
+              int_flag("min-refit-rows", 1),    int_flag("refit-rounds", 1),
+              int_flag("max-model-rounds", 1),  int_flag("cold-rounds", 1),
+              int_flag("drift-max-apps", 0),    int_flag("drift-app-window", 0),
+              int_flag("queue-cap", 1),         int_flag("batch-max", 1),
+              int_flag("deadline-ms", 0),       int_flag("threads", 0),
+              int_flag("workers", 1),           int_flag("restart-max", 1),
+              double_flag("restart-base-delay-s", 0.0),
+              double_flag("restart-max-delay-s", 0.0),
+              double_flag("heartbeat-timeout-s", 0.0, kDoubleMax, true),
+              int_flag("seed", kIntMin),        double_flag("store-poll-s", 0.0)})},
   };
   return all;
 }
