@@ -1,13 +1,14 @@
 // bench_serve_load — loopback load generator for `mphpc serve`.
 //
-// Default mode trains a small model, starts the serve daemon on a Unix
-// socket in a scratch directory, and hammers it from closed-loop client
-// threads mixing predict and feedback traffic (so refits and hot-swaps
-// happen under load). Prints one JSON object with latency percentiles,
-// throughput, and the daemon's own counters; the tracked baseline lives
-// in results/BENCH_serve.json.
+// --socket PATH hammers an already-running daemon (typically the
+// `--workers N` supervised fleet in the CI fleet smoke) from closed-loop
+// client threads mixing predict and feedback traffic, and prints one
+// JSON object with latency percentiles, throughput and client-visible
+// errors. Serve latency is measured by perfbench (`serve_p50_ms`), not
+// here.
 //
-//   bench_serve_load [--requests N] [--clients C] [--feedback-every K]
+//   bench_serve_load --socket PATH [--requests N] [--clients C]
+//                    [--feedback-every K]
 //
 // --emit-jsonl FILE [--predicts P] [--feedbacks F] instead writes the
 // request corpus as a JSONL session (predict lines then feedback lines,
@@ -21,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -29,13 +29,7 @@
 
 #include "arch/system_catalog.hpp"
 #include "common/json_writer.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "core/dataset.hpp"
-#include "core/predictor.hpp"
-#include "serve/json.hpp"
-#include "serve/server.hpp"
-#include "serve/service.hpp"
 #include "sim/runner.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -129,25 +123,6 @@ Corpus build_corpus(int inputs_per_app, std::uint64_t seed) {
     }
   }
   return corpus;
-}
-
-/// Trains the serving model on a quick campaign and saves it for the
-/// daemon's --model bootstrap.
-std::string train_model(const std::string& dir) {
-  const workload::AppCatalog apps;
-  const arch::SystemCatalog systems;
-  sim::CampaignOptions campaign;
-  campaign.inputs_per_app = 4;
-  const auto dataset = core::build_dataset(
-      sim::run_campaign(apps, systems, campaign, &ThreadPool::shared()));
-  core::CrossArchPredictor::Options options;
-  options.gbt.n_rounds = 150;
-  options.gbt.max_depth = 6;
-  core::CrossArchPredictor predictor(options);
-  predictor.train(dataset, {}, &ThreadPool::shared());
-  const std::string path = dir + "/model.txt";
-  predictor.save(path);
-  return path;
 }
 
 int connect_with_retry(const std::string& socket_path) {
@@ -291,13 +266,13 @@ int emit_jsonl(const std::string& path, int predicts, int feedbacks) {
   return 0;
 }
 
-/// External mode: hammers an already-running daemon (typically the
+/// Hammers an already-running daemon (typically the
 /// `--workers N` supervised fleet) on `socket_path`. The caller owns the
 /// daemon's lifecycle — no shutdown is sent — so ci.sh can kill -9 a
 /// worker mid-load and assert the client-visible outcome: every request
 /// answered correctly or with an explicit error code, resets absorbed by
 /// re-dialing, zero silent drops.
-int run_external(const std::string& socket_path, int requests, int clients,
+int run_socket(const std::string& socket_path, int requests, int clients,
                  int feedback_every) {
   const Corpus corpus = build_corpus(/*inputs_per_app=*/2, /*seed=*/11);
   std::fprintf(stderr, "running %d requests over %d clients against %s...\n",
@@ -356,104 +331,6 @@ int run_external(const std::string& socket_path, int requests, int clients,
   return errors == 0 ? 0 : 1;
 }
 
-int run_benchmark(int requests, int clients, int feedback_every) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("mphpc_serve_bench_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::create_directories(dir);
-  std::fprintf(stderr, "training model + corpus (scratch %s)...\n", dir.c_str());
-
-  serve::ServeOptions core_options;
-  core_options.state_dir = dir;
-  core_options.model_path = train_model(dir);
-  core_options.refit_every = 128;
-  core_options.min_refit_rows = 64;
-  const Corpus corpus = build_corpus(/*inputs_per_app=*/2, /*seed=*/11);
-
-  serve::ServeCore core(core_options);
-  serve::ServerOptions server_options;
-  server_options.socket_path = dir + "/serve.sock";
-  std::thread daemon([&core, &server_options] {
-    serve::Server server(core, server_options, nullptr);
-    (void)server.run();
-  });
-
-  std::fprintf(stderr, "running %d requests over %d clients...\n", requests,
-               clients);
-  const Timer wall;
-  std::vector<ClientResult> results(static_cast<std::size_t>(clients));
-  {
-    std::vector<std::thread> workers;
-    const int share = requests / clients;
-    for (int c = 0; c < clients; ++c) {
-      const int n = c == clients - 1 ? requests - share * (clients - 1) : share;
-      workers.emplace_back([&, c, n] {
-        results[static_cast<std::size_t>(c)] = run_client(
-            server_options.socket_path, corpus, n, feedback_every, c * share);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-  const double elapsed_s = wall.seconds();
-
-  const serve::JsonValue stats = serve::JsonValue::parse(core.stats_reply("b"));
-  const int shutdown_fd = connect_with_retry(server_options.socket_path);
-  if (shutdown_fd >= 0) {
-    (void)send_line(shutdown_fd, R"({"op":"shutdown","id":"bye"})");
-    ::close(shutdown_fd);
-  }
-  daemon.join();
-
-  std::vector<double> latencies;
-  long long ok = 0;
-  long long errors = 0;
-  long long resets = 0;
-  for (const ClientResult& r : results) {
-    latencies.insert(latencies.end(), r.latency_ms.begin(), r.latency_ms.end());
-    ok += r.ok;
-    errors += r.errors;
-    resets += r.resets;
-  }
-  std::sort(latencies.begin(), latencies.end());
-
-  JsonWriter json;
-  json.begin_object();
-  json.begin_object("config");
-  json.field("requests", requests);
-  json.field("clients", clients);
-  json.field("feedback_every", feedback_every);
-  json.field("queue_cap", server_options.queue_cap);
-  json.field("batch_max", server_options.batch_max);
-  json.field("refit_every", core_options.refit_every);
-  json.end_object();
-  json.begin_object("results");
-  json.field("elapsed_s", elapsed_s);
-  json.field("throughput_rps", static_cast<double>(ok + errors) / elapsed_s);
-  json.field("ok", ok);
-  json.field("errors", errors);
-  json.field("resets", resets);
-  json.begin_object("latency_ms");
-  json.field("p50", percentile(latencies, 0.50));
-  json.field("p90", percentile(latencies, 0.90));
-  json.field("p99", percentile(latencies, 0.99));
-  json.field("max", latencies.empty() ? 0.0 : latencies.back());
-  json.end_object();
-  json.field("generation", core.generation());
-  json.field("refits",
-             stats.find("counters")->find("refits")->as_number());
-  json.field("fallbacks",
-             stats.find("counters")->find("fallbacks")->as_number());
-  json.field("shed", stats.find("counters")->find("shed")->as_number());
-  json.end_object();
-  json.end_object();
-  std::printf("%s\n", json.str().c_str());
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return errors == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -464,6 +341,14 @@ int main(int argc, char** argv) {
   int feedback_every = 16;
   int predicts = 8;
   int feedbacks = 16;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s --socket PATH [--requests N] [--clients C] "
+                 "[--feedback-every K] | --emit-jsonl FILE [--predicts P] "
+                 "[--feedbacks F]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -476,23 +361,13 @@ int main(int argc, char** argv) {
     else if (arg == "--feedback-every") feedback_every = std::atoi(next());
     else if (arg == "--predicts") predicts = std::atoi(next());
     else if (arg == "--feedbacks") feedbacks = std::atoi(next());
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--requests N] [--clients C] "
-                   "[--feedback-every K] | --socket PATH [--requests N] "
-                   "[--clients C] [--feedback-every K] | --emit-jsonl FILE "
-                   "[--predicts P] [--feedbacks F]\n",
-                   argv[0]);
-      return 2;
-    }
+    else return usage();
   }
   if (!emit_path.empty()) return emit_jsonl(emit_path, predicts, feedbacks);
+  if (socket_path.empty()) return usage();
   if (requests < 1 || clients < 1 || clients > requests) {
     std::fprintf(stderr, "bad --requests/--clients\n");
     return 2;
   }
-  if (!socket_path.empty()) {
-    return run_external(socket_path, requests, clients, feedback_every);
-  }
-  return run_benchmark(requests, clients, feedback_every);
+  return run_socket(socket_path, requests, clients, feedback_every);
 }

@@ -11,22 +11,26 @@ namespace mphpc {
 namespace {
 
 // Handler state. Only async-signal-safe operations may touch these from
-// the handler: a lock-free atomic store and a write() on the pipe. An
-// atomic (rather than volatile sig_atomic_t) also makes the cross-thread
-// reads in requested() well-defined under TSan — the serve event loop
-// polls this from threads other than the one that took the signal.
+// the handler: lock-free atomic loads and stores and a write() on the
+// pipe. Atomics (rather than volatile sig_atomic_t) also make the
+// cross-thread accesses well-defined under TSan: the serve event loop
+// polls g_signal from threads other than the one that took the signal,
+// and request() may run on a thread other than the one that installed
+// the pipe (the release/acquire pair orders the pipe's creation before
+// the handler's write to it).
 std::atomic<int> g_signal{0};
 int g_wake_read = -1;
-int g_wake_write = -1;
+std::atomic<int> g_wake_write{-1};
 bool g_installed = false;
 
 extern "C" void shutdown_handler(int sig) {
   g_signal.store(sig, std::memory_order_relaxed);
-  if (g_wake_write >= 0) {
+  const int wake = g_wake_write.load(std::memory_order_acquire);
+  if (wake >= 0) {
     const char byte = 1;
     // A full pipe just means earlier wake bytes are still pending; the
     // flag carries the information either way.
-    [[maybe_unused]] const auto n = ::write(g_wake_write, &byte, 1);
+    [[maybe_unused]] const auto n = ::write(wake, &byte, 1);
   }
 }
 
@@ -48,7 +52,7 @@ void ShutdownLatch::install() {
     ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
     ::fcntl(fds[1], F_SETFD, FD_CLOEXEC);
     g_wake_read = fds[0];
-    g_wake_write = fds[1];
+    g_wake_write.store(fds[1], std::memory_order_release);
   }
   struct sigaction action = {};
   action.sa_handler = shutdown_handler;

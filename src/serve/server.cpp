@@ -6,6 +6,7 @@
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -26,6 +27,21 @@ namespace {
 /// objects are a few hundred bytes; a megabyte of "line" is a bug or an
 /// attack, not a request.
 constexpr std::size_t kMaxLineBytes = 1U << 20U;
+
+/// A connection whose unsent reply bytes pass this has stopped reading
+/// (thousands of replies behind); it is disconnected rather than buffered
+/// without bound.
+constexpr std::size_t kMaxOutboundBytes = 1U << 20U;
+
+/// How long a drain keeps flushing replies to clients that read slowly
+/// once everything queued is served; a client that never reads cannot
+/// hang shutdown past this.
+constexpr auto kDrainFlush = std::chrono::seconds(2);
+
+/// Poll timeout while the queue is empty: the safety net for the
+/// (pipe-less) latch install failure path (signals normally wake the
+/// poll via the latch fd at once) and the idle heartbeat cadence.
+constexpr int kIdleTickMs = 500;
 
 }  // namespace
 
@@ -107,34 +123,6 @@ void Server::log_line(const std::string& message) {
   log_->flush();
 }
 
-void Server::retain_fd(int fd) {
-  if (fd <= 2) return;
-  const std::lock_guard lock(fd_mutex_);
-  ++fd_refs_[fd];
-}
-
-void Server::release_fd(int fd) {
-  if (fd <= 2) return;
-  const std::lock_guard lock(fd_mutex_);
-  const auto it = fd_refs_.find(fd);
-  MPHPC_EXPECTS(it != fd_refs_.end() && it->second > 0);
-  if (--it->second > 0) return;
-  fd_refs_.erase(it);
-  if (fd_dead_.erase(fd) > 0) ::close(fd);
-}
-
-void Server::retire_fd(int fd) {
-  if (fd <= 2) return;
-  const std::lock_guard lock(fd_mutex_);
-  if (fd_refs_.find(fd) == fd_refs_.end()) {
-    ::close(fd);
-    return;
-  }
-  fd_dead_.insert(fd);
-}
-
-int Server::setup_listener() { return listen_unix(options_.socket_path); }
-
 int Server::run() {
   ShutdownLatch::instance().install();
   // A client that disconnects mid-reply must not kill the daemon.
@@ -145,14 +133,14 @@ int Server::run() {
   // A borrowed listener is shared with sibling workers: accept() must
   // not block when a sibling wins the race for a connection poll() saw,
   // so the shared open file description goes nonblocking. Heartbeats
-  // must never wedge the intake loop on a slow supervisor either.
+  // must never wedge the serve loop on a slow supervisor either.
   const bool borrowed_listener = options_.listen_fd >= 0;
   int listen_fd = options_.listen_fd;
   if (borrowed_listener) {
     (void)::fcntl(listen_fd, F_SETFL,
                   ::fcntl(listen_fd, F_GETFL, 0) | O_NONBLOCK);
   } else if (!options_.socket_path.empty()) {
-    listen_fd = setup_listener();
+    listen_fd = listen_unix(options_.socket_path);
   }
   if (options_.heartbeat_fd >= 0) {
     (void)::fcntl(options_.heartbeat_fd, F_SETFL,
@@ -166,19 +154,8 @@ int Server::run() {
   log_line("serving generation " + std::to_string(core_.generation()) +
            " fingerprint " + core_.fingerprint());
 
-  std::thread batcher([this] { batcher_loop(); });
   std::thread refitter([this] { refit_loop(); });
-
-  intake_loop(listen_fd);
-
-  // Intake has stopped; let the batcher drain everything already queued,
-  // then stop both workers and persist the final model.
-  {
-    const std::lock_guard lock(queue_mutex_);
-    stop_batcher_ = true;
-  }
-  queue_cv_.notify_all();
-  batcher.join();
+  serve_loop(listen_fd);
   {
     const std::lock_guard lock(refit_mutex_);
     stop_refit_ = true;
@@ -187,17 +164,8 @@ int Server::run() {
   refitter.join();
 
   core_.flush();
-  for (Connection& conn : connections_) {
-    if (conn.fd > 2) ::close(conn.fd);  // never close stdio fds
-  }
-  connections_.clear();
-  {
-    // The drained batcher released every queued reply, so deferred-close
-    // fds should all be gone; sweep whatever is left regardless.
-    const std::lock_guard lock(fd_mutex_);
-    for (const int fd : fd_dead_) ::close(fd);
-    fd_dead_.clear();
-    fd_refs_.clear();
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    it = close_connection(it);
   }
   if (listen_fd >= 0 && !borrowed_listener) {
     // An inherited listener belongs to the supervisor (and to sibling
@@ -212,124 +180,108 @@ int Server::run() {
   return latch.requested() ? latch.exit_code() : 0;
 }
 
-void Server::intake_loop(int listen_fd) {
+void Server::serve_loop(int listen_fd) {
   ShutdownLatch& latch = ShutdownLatch::instance();
-  if (listen_fd < 0) {
-    connections_.push_back(Connection{0, std::string(), false});
-  }
+  if (listen_fd < 0) connections_.try_emplace(next_conn_id_++, 0, 1);
+  std::vector<pollfd> fds;
+  std::vector<std::uint64_t> ids;  // connection id of fds[conn_base + k]
+  Clock::time_point flush_deadline = Clock::time_point::max();
   for (;;) {
-    if (latch.requested()) {
-      begin_drain("signal");
-      return;
-    }
-    {
-      const std::lock_guard lock(queue_mutex_);
-      if (draining_) return;
+    if (latch.requested()) begin_drain("signal");
+    if (draining_ && queue_.empty()) {
+      // Everything queued is served; flush what clients still read, for
+      // at most kDrainFlush.
+      if (flush_deadline == Clock::time_point::max()) {
+        flush_deadline = Clock::now() + kDrainFlush;
+      }
+      const bool owed = std::any_of(
+          connections_.begin(), connections_.end(),
+          [](const auto& entry) { return !entry.second.outbound.empty(); });
+      if (!owed || Clock::now() >= flush_deadline) return;
     }
 
-    std::vector<pollfd> fds;
+    fds.clear();
+    ids.clear();
     fds.push_back(pollfd{latch.wake_fd(), POLLIN, 0});
-    std::size_t listen_index = 0;
-    const bool has_listener = listen_fd >= 0;
-    if (has_listener) {
-      listen_index = fds.size();
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-    }
+    const bool accepting = listen_fd >= 0 && !draining_;
+    if (accepting) fds.push_back(pollfd{listen_fd, POLLIN, 0});
     const std::size_t conn_base = fds.size();
-    for (const Connection& conn : connections_) {
-      fds.push_back(pollfd{conn.fd, POLLIN, 0});
+    for (const auto& [id, conn] : connections_) {
+      // stdio's blocking fd 1 takes every flush whole, so POLLOUT on the
+      // read fd only ever matters for sockets, where the two are one fd.
+      const short in = draining_ || conn.eof ? 0 : POLLIN;
+      const short out = conn.outbound.empty() ? 0 : POLLOUT;
+      fds.push_back(pollfd{conn.in_fd, static_cast<short>(in | out), 0});
+      ids.push_back(id);
     }
-
-    // The 500 ms tick is a safety net for the (pipe-less) install failure
-    // path (signals normally wake the poll via the latch fd immediately)
-    // and doubles as the heartbeat cadence toward the supervisor.
-    const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 500);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+    const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                             queue_.empty() ? kIdleTickMs : 0);
+    if (ready < 0 && errno != EINTR) {
       log_line(std::string("poll failed: ") + std::strerror(errno));
       begin_drain("poll failure");
-      return;
     }
-    maybe_heartbeat();
-    if (ready == 0) continue;
-
-    if (has_listener && (fds[listen_index].revents & POLLIN) != 0) {
-      const int client = ::accept(listen_fd, nullptr, nullptr);
-      if (client >= 0) {
-        // Fault point: a crash/hang here models a worker dying while
-        // admitting a connection — the client sees a reset, never a
-        // half-served request.
-        fault_point(FaultSite::kAccept);
-        connections_.push_back(Connection{client, std::string(), false});
-        continue;  // pollfd set changed; rebuild before reading
-      }
-    }
-
-    for (std::size_t i = connections_.size(); i > 0; --i) {
-      const std::size_t idx = i - 1;
-      const short revents = fds[conn_base + idx].revents;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (!read_connection(connections_[idx])) {
-        if (connections_[idx].fd == 0) {
-          // EOF on stdin IS the shutdown request in stdio mode.
-          begin_drain("stdin EOF");
-          return;
+    heartbeat();
+    if (ready > 0) {
+      if (accepting && (fds[1].revents & POLLIN) != 0) accept_client(listen_fd);
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        const pollfd& pfd = fds[conn_base + k];
+        if ((pfd.events & POLLIN) == 0 ||
+            (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+          continue;
         }
-        // Closes now unless queued requests still hold this fd, in which
-        // case the last reply release closes it (an immediate close would
-        // let accept() recycle the number for a different client).
-        retire_fd(connections_[idx].fd);
-        connections_.erase(connections_.begin() +
-                           static_cast<std::ptrdiff_t>(idx));
+        // Only flush_connections() closes connections, so every polled
+        // id is still present.
+        read_connection(ids[k], connections_.at(ids[k]));
       }
     }
-    {
-      const std::lock_guard lock(queue_mutex_);
-      if (draining_) return;
-    }
+    serve_batch();
+    flush_connections();
   }
 }
 
-void Server::maybe_heartbeat() {
+void Server::heartbeat() {
   if (options_.heartbeat_fd < 0) return;
-  // A heartbeat asserts "this worker is serving", not just "the intake
-  // thread is scheduled": beat only while the queue is empty (nothing to
-  // prove) or the batcher finished a batch since the last beat. A worker
-  // wedged mid-reply under load stops beating even though intake still
-  // polls, and the supervisor's watchdog takes it out.
-  bool queue_empty = false;
-  {
-    const std::lock_guard lock(queue_mutex_);
-    queue_empty = queue_.empty();
-  }
-  const unsigned long long steps = batcher_steps_.load(std::memory_order_relaxed);
-  if (!queue_empty && steps == last_batcher_steps_) return;
-  last_batcher_steps_ = steps;
+  // A beat asserts "the serve loop turned": a worker hung at accept or
+  // wedged mid-request stops beating, and the supervisor's watchdog
+  // takes it out.
   const char beat = '.';
-  ssize_t n = 0;
-  do {
-    n = ::write(options_.heartbeat_fd, &beat, 1);
-  } while (n < 0 && errno == EINTR);
-  // EAGAIN (supervisor slow to drain) and EPIPE (supervisor gone) are
-  // both fine: the pipe's only job is edge-triggered liveness.
+  if (::write(options_.heartbeat_fd, &beat, 1) < 0) {
+    // EAGAIN (supervisor slow to drain) and EPIPE (supervisor gone) are
+    // both fine: the pipe's only job is edge-triggered liveness.
+  }
 }
 
-bool Server::read_connection(Connection& conn) {
+void Server::accept_client(int listen_fd) {
+  const int client = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+  if (client < 0) return;  // a sibling worker won the race
+  // Fault point: a crash/hang here models a worker dying while admitting
+  // a connection — the client sees a reset, never a half-served request.
+  fault_point(FaultSite::kAccept);
+  connections_.try_emplace(next_conn_id_++, client, client);
+}
+
+void Server::read_connection(std::uint64_t id, Connection& conn) {
   char buf[65536];
-  const ssize_t n = ::read(conn.fd, buf, sizeof buf);
-  if (n == 0) return false;
-  if (n < 0) return errno == EINTR || errno == EAGAIN;
+  const ssize_t n = ::read(conn.in_fd, buf, sizeof buf);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
+  if (n <= 0) {
+    // EOF (or a read error, after which writes fail too): stop reading;
+    // the connection closes once every reply it is owed went out. EOF on
+    // stdin IS the shutdown request in stdio mode.
+    conn.eof = true;
+    if (conn.in_fd == 0) begin_drain("stdin EOF");
+    return;
+  }
   std::string_view chunk(buf, static_cast<std::size_t>(n));
-  const int reply_fd = conn.fd == 0 ? 1 : conn.fd;
   const auto reject_oversized = [&] {
-    write_reply(reply_fd,
-                error_reply("", "bad_request", "request line exceeds 1 MiB"));
+    append_reply(conn,
+                 error_reply("", "bad_request", "request line exceeds 1 MiB"));
   };
 
   if (conn.discarding) {
     // The rest of an oversized line is dropped, never buffered.
     const std::size_t nl = chunk.find('\n');
-    if (nl == std::string_view::npos) return true;
+    if (nl == std::string_view::npos) return;
     conn.discarding = false;
     chunk.remove_prefix(nl + 1);
   }
@@ -345,7 +297,7 @@ bool Server::read_connection(Connection& conn) {
     if (line.size() > kMaxLineBytes) {
       reject_oversized();
     } else {
-      handle_input_line(conn.fd, line);
+      handle_input_line(id, conn, line);
     }
     line_start = ++nl;
   }
@@ -355,99 +307,84 @@ bool Server::read_connection(Connection& conn) {
     conn.buffer.clear();
     conn.discarding = true;
   }
-  return true;
 }
 
-void Server::handle_input_line(int fd, std::string_view line) {
+void Server::handle_input_line(std::uint64_t id, Connection& conn,
+                               std::string_view line) {
   if (trim(line).empty()) return;
-  const int reply_fd = fd == 0 ? 1 : fd;  // stdio mode replies on stdout
-  {
-    const std::lock_guard lock(queue_mutex_);
-    if (draining_) {
-      write_reply(reply_fd,
-                  error_reply("", "shutting_down", "daemon is draining"));
-      return;
-    }
+  if (draining_) {
+    append_reply(conn, error_reply("", "shutting_down", "daemon is draining"));
+    return;
   }
   Pending pending;
   try {
     pending.request = parse_request(line);
   } catch (const std::exception& e) {
-    write_reply(reply_fd, error_reply("", "bad_request", e.what()));
+    append_reply(conn, error_reply("", "bad_request", e.what()));
     return;
   }
   if (pending.request.op == Op::kShutdown) {
-    write_reply(reply_fd, core_.handle_request(pending.request));
+    append_reply(conn, core_.handle_request(pending.request));
     begin_drain("shutdown request");
     return;
   }
-  pending.fd = reply_fd;
+  pending.conn = id;
   pending.arrival = Clock::now();
-  retain_fd(reply_fd);  // released when the reply (or shed/expiry) is written
+  ++conn.queued;
   enqueue(std::move(pending));
 }
 
 void Server::enqueue(Pending pending) {
-  std::optional<Pending> victim;
-  {
-    const std::lock_guard lock(queue_mutex_);
-    victim = queue_.push(std::move(pending));
-    core_.note_lane_depths(queue_.predict_depth(), queue_.feedback_depth());
-  }
-  queue_cv_.notify_one();
-  if (victim.has_value()) {
-    const bool was_feedback = victim->request.op == Op::kFeedback;
-    core_.note_shed(victim->request.op);
-    write_reply(victim->fd,
-                error_reply(victim->request.id, "overloaded",
-                            was_feedback
-                                ? "queue full: oldest feedback shed"
-                                : "queue full: oldest predict shed"));
-    release_fd(victim->fd);
-  }
+  std::optional<Pending> victim = queue_.push(std::move(pending));
+  core_.note_lane_depths(queue_.predict_depth(), queue_.feedback_depth());
+  if (!victim.has_value()) return;
+  const bool was_feedback = victim->request.op == Op::kFeedback;
+  core_.note_shed(victim->request.op);
+  const auto owner = connections_.find(victim->conn);
+  if (owner == connections_.end()) return;
+  --owner->second.queued;
+  append_reply(owner->second,
+               error_reply(victim->request.id, "overloaded",
+                           was_feedback ? "queue full: oldest feedback shed"
+                                        : "queue full: oldest predict shed"));
 }
 
-void Server::batcher_loop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stop_batcher_ || !queue_.empty(); });
-      if (queue_.empty() && stop_batcher_) return;
-      batch.reserve(std::min(options_.batch_max, queue_.size()));
-      (void)queue_.pop_batch(options_.batch_max, batch);
-      core_.note_lane_depths(queue_.predict_depth(), queue_.feedback_depth());
-    }
-    serve_batch(batch);
-    batcher_steps_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
+void Server::serve_batch() {
+  if (queue_.empty()) return;
+  std::vector<Pending> batch;
+  batch.reserve(std::min(options_.batch_max, queue_.size()));
+  (void)queue_.pop_batch(options_.batch_max, batch);
+  core_.note_lane_depths(queue_.predict_depth(), queue_.feedback_depth());
 
-void Server::serve_batch(std::vector<Pending>& batch) {
   const Clock::time_point now = Clock::now();
   std::vector<Request> live;
-  std::vector<std::size_t> live_index;
+  std::vector<Connection*> owners;  // map nodes: stable until erased
   bool saw_feedback = false;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Pending& p = batch[i];
+  for (Pending& p : batch) {
+    const auto it = connections_.find(p.conn);
+    if (it == connections_.end()) {
+      core_.note_dropped();  // its client was disconnected
+      continue;
+    }
+    Connection& owner = it->second;
     if (options_.deadline_ms > 0 &&
         now - p.arrival > std::chrono::milliseconds(options_.deadline_ms)) {
       core_.note_deadline_expired();
-      write_reply(p.fd, error_reply(p.request.id, "deadline_exceeded",
-                                    "request exceeded its serve deadline"));
-      release_fd(p.fd);
+      --owner.queued;
+      append_reply(owner, error_reply(p.request.id, "deadline_exceeded",
+                                      "request exceeded its serve deadline"));
       continue;
     }
     if (p.request.op == Op::kFeedback) saw_feedback = true;
-    live_index.push_back(i);
-    live.push_back(p.request);
+    owners.push_back(&owner);
+    live.push_back(std::move(p.request));
   }
   if (!live.empty()) {
     const std::vector<std::string> replies = core_.handle_requests(live, &pool_);
     for (std::size_t k = 0; k < replies.size(); ++k) {
-      write_reply(batch[live_index[k]].fd, replies[k]);
+      --owners[k]->queued;
+      append_reply(*owners[k], replies[k]);
     }
-    for (const std::size_t i : live_index) release_fd(batch[i].fd);
   }
   if (saw_feedback && core_.refit_pending()) {
     {
@@ -495,33 +432,64 @@ void Server::refit_loop() {
   }
 }
 
-void Server::write_reply(int fd, std::string_view reply) {
-  std::string line(reply);
-  line += '\n';
-  const std::lock_guard lock(write_mutex_);
+void Server::append_reply(Connection& conn, std::string_view reply) {
   // Fault point: kShortWrite truncates the reply to half its bytes (a
   // torn line the client's JSONL parser must reject), crash/hang model a
   // worker dying with the reply in flight.
   const FaultAction fault = FaultInjector::instance().at(FaultSite::kMidReply);
   FaultInjector::execute(fault);
-  if (fault == FaultAction::kShortWrite) line.resize(line.size() / 2);
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // client gone (EPIPE et al.) — drop the reply, not the daemon
-    }
-    off += static_cast<std::size_t>(n);
+  const std::size_t start = conn.outbound.size();
+  conn.outbound.append(reply);
+  conn.outbound += '\n';
+  if (fault == FaultAction::kShortWrite) {
+    conn.outbound.resize(start + (reply.size() + 1) / 2);
   }
 }
 
-void Server::begin_drain(const char* why) {
-  {
-    const std::lock_guard lock(queue_mutex_);
-    if (draining_) return;
-    draining_ = true;
+void Server::flush_connections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& conn = it->second;
+    std::size_t sent = 0;
+    bool failed = false;
+    while (sent < conn.outbound.size()) {
+      const ssize_t n = ::write(conn.out_fd, conn.outbound.data() + sent,
+                                conn.outbound.size() - sent);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        failed = errno != EAGAIN;  // EPIPE et al.: the client is gone
+        break;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    conn.outbound.erase(0, sent);
+    // Drop a client that is gone or stopped reading (its queued requests
+    // are skipped unserved); close one that hung up once it is owed
+    // nothing more.
+    const bool owed = conn.queued > 0 || !conn.outbound.empty();
+    if (failed || conn.outbound.size() > kMaxOutboundBytes ||
+        (conn.eof && !owed)) {
+      it = close_connection(it);
+    } else {
+      ++it;
+    }
   }
+}
+
+Server::Connections::iterator Server::close_connection(
+    Connections::iterator it) {
+  if (it->second.in_fd > 2) {
+    ::close(it->second.in_fd);
+  } else {
+    // The stdio fds are borrowed, never closed; without them there is
+    // nothing left to serve.
+    begin_drain("stdio closed");
+  }
+  return connections_.erase(it);
+}
+
+void Server::begin_drain(const char* why) {
+  if (draining_) return;
+  draining_ = true;
   log_line(std::string("draining (") + why + ")");
 }
 

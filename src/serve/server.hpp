@@ -1,13 +1,24 @@
 // Server — the transport and threading shell around ServeCore.
 //
 // Request lifecycle:
-//   intake (main thread)   poll()s the shutdown latch's wake fd plus
-//                          stdin (stdio mode) or a Unix-domain listener
-//                          and its client connections; splits complete
-//                          JSONL lines, parses them, and either replies
-//                          immediately (parse error -> bad_request,
-//                          draining -> shutting_down) or enqueues the
-//                          request with its arrival time.
+//   serve loop (caller)    one poll() loop owns every client fd. It
+//                          accepts, reads stdin (stdio mode) or the
+//                          Unix-domain clients, splits complete JSONL
+//                          lines, parses them, and either answers at once
+//                          (parse error -> bad_request, draining ->
+//                          shutting_down) or enqueues the request with
+//                          its arrival time. Each tick it then pops up to
+//                          batch_max requests (predict lane first),
+//                          expires those whose deadline passed
+//                          (deadline_exceeded), serves the rest through
+//                          ServeCore (consecutive predicts share one
+//                          compiled batch inference), appends the replies
+//                          to each connection's outbound buffer, writes
+//                          what the kernel takes, and kicks the refit
+//                          thread when feedback has accumulated. While
+//                          the queue is non-empty the loop polls with a
+//                          zero timeout, so new input is read between
+//                          batches.
 //   queue (two lanes)      bounded; predict/stats ride the priority lane,
 //                          feedback the best-effort lane. At capacity the
 //                          OLDEST FEEDBACK is shed first (a lost label
@@ -16,13 +27,6 @@
 //                          predict — staleness is worth less than
 //                          freshness, and the queue can never grow
 //                          without bound.
-//   batcher (one thread)   pops up to batch_max requests (predict lane
-//                          first), expires those whose deadline passed
-//                          (deadline_exceeded), serves the rest through
-//                          ServeCore (consecutive predicts share one
-//                          compiled batch inference), writes replies, and
-//                          kicks the refit thread when feedback has
-//                          accumulated.
 //   refit (one thread)     runs ServeCore::run_refit off the request
 //                          path; a refit failure is logged, never fatal.
 //                          With store_poll_s set it also wakes on a timer
@@ -30,35 +34,44 @@
 //                          supervised worker converges on a sibling's
 //                          published generation.
 //
+// Connections: accepted sockets are nonblocking. Unsent reply bytes wait
+// in the connection's outbound buffer and go out on POLLOUT; a client
+// whose unsent bytes pass kMaxOutboundBytes (it stopped reading) is
+// disconnected, so it can stall no one else. A queued request names its
+// connection by a never-reused id, not by fd number, so a reply can
+// never reach a later client that accept() gave the same fd. Requests of
+// a dropped connection are skipped before inference (the `dropped`
+// counter). A client that sends EOF still gets every reply it is owed
+// before its fd is closed. The stdio fds are never made nonblocking
+// (they share a file description with the parent), so their writes
+// simply block.
+//
 // Supervised-worker mode: the supervisor hands each worker an inherited
 // listening fd (listen_fd — the kernel load-balances accepts across
-// workers) and the write end of a heartbeat pipe. The intake loop's tick
-// writes a heartbeat byte whenever the daemon is provably live — the
-// queue is empty or the batcher made progress since the last beat — so a
-// worker hung at accept OR wedged mid-reply under load both go silent
-// and get SIGKILLed by the supervisor's watchdog.
+// workers) and the write end of a heartbeat pipe. The serve loop beats
+// once per tick. A worker hung at accept or wedged mid-request stops its
+// only loop, goes silent and gets SIGKILLed by the supervisor's watchdog.
 //
 // Shutdown: a SIGINT/SIGTERM (via ShutdownLatch), a shutdown request, or
-// EOF stops intake; the batcher drains everything already queued, the
-// model is flushed to the store, and run() returns 0 — or 128+signal
-// when a signal started the drain, so wrappers can tell "interrupted
-// but flushed" from a clean stop. SIGKILL needs no handling here — the
-// store's atomic write protocol guarantees a restartable model at
-// every instant.
+// EOF on stdin stops reading; the loop serves everything already queued,
+// then flushes outbound bytes for at most kDrainFlush, the model is
+// flushed to the store, and run() returns 0 — or 128+signal when a
+// signal started the drain, so wrappers can tell "interrupted but
+// flushed" from a clean stop. SIGKILL needs no handling here — the
+// store's atomic write protocol guarantees a restartable model at every
+// instant.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -83,14 +96,14 @@ struct ServerOptions {
 /// A parsed request waiting to be served, with its reply destination.
 struct Pending {
   Request request;
-  int fd = 1;  ///< reply destination
+  std::uint64_t conn = 0;  ///< id of the connection owed the reply
   std::chrono::steady_clock::time_point arrival{};
 };
 
 /// The bounded two-lane intake queue: predict/stats in the priority
 /// lane, feedback in the best-effort lane. Shedding at capacity takes
-/// the oldest feedback first, then the oldest predict. Plain container
-/// — callers (the Server, tests) provide their own locking.
+/// the oldest feedback first, then the oldest predict. Plain container,
+/// not thread-safe.
 class IntakeQueue {
  public:
   explicit IntakeQueue(std::size_t capacity);
@@ -101,8 +114,8 @@ class IntakeQueue {
   /// older request outranks it.
   [[nodiscard]] std::optional<Pending> push(Pending pending);
 
-  /// Moves up to `max` requests into `out`, priority lane first (so the
-  /// batcher's consecutive-predict batching sees unbroken predict runs).
+  /// Moves up to `max` requests into `out`, priority lane first (so
+  /// consecutive-predict batching sees unbroken predict runs).
   std::size_t pop_batch(std::size_t max, std::vector<Pending>& out);
 
   [[nodiscard]] bool empty() const noexcept {
@@ -146,64 +159,48 @@ class Server {
   using Clock = std::chrono::steady_clock;
 
   struct Connection {
-    int fd = -1;
+    Connection(int in, int out) : in_fd(in), out_fd(out) {}
+
+    int in_fd;                ///< read side (0 in stdio mode)
+    int out_fd;               ///< write side (1 in stdio mode)
     std::string buffer;       ///< the unfinished line (at most 1 MiB)
     bool discarding = false;  ///< oversized line: drop bytes to next newline
+    bool eof = false;         ///< peer sent EOF: close once nothing is owed
+    std::string outbound;     ///< reply bytes the kernel has not taken yet
+    std::size_t queued = 0;   ///< requests in queue_ owed a reply here
   };
+  using Connections = std::map<std::uint64_t, Connection>;
 
   void log_line(const std::string& message);
-  [[nodiscard]] int setup_listener();
-  void intake_loop(int listen_fd);
-  void maybe_heartbeat();
-  bool read_connection(Connection& conn);  ///< false when closed/EOF
-  void handle_input_line(int fd, std::string_view line);
+  void serve_loop(int listen_fd);
+  void heartbeat();
+  void accept_client(int listen_fd);
+  void read_connection(std::uint64_t id, Connection& conn);
+  void handle_input_line(std::uint64_t id, Connection& conn,
+                         std::string_view line);
   void enqueue(Pending pending);
-  void write_reply(int fd, std::string_view reply);
-
-  void batcher_loop();
-  void serve_batch(std::vector<Pending>& batch);
+  void serve_batch();
+  void append_reply(Connection& conn, std::string_view reply);
+  void flush_connections();
+  Connections::iterator close_connection(Connections::iterator it);
   void refit_loop();
   void begin_drain(const char* why);
-
-  /// Reply-fd lifecycle. Every queued Pending holds a reference on its
-  /// reply fd, so a disconnect observed by intake cannot close an fd the
-  /// batcher still has replies for (close would let accept() recycle the
-  /// number and misdeliver those replies). retire_fd() — the disconnect
-  /// path — closes immediately when nothing is queued for the fd and
-  /// otherwise defers the close to the release_fd() that drops the last
-  /// reference. stdio fds (<= 2) are borrowed, never closed.
-  void retain_fd(int fd);
-  void release_fd(int fd);
-  void retire_fd(int fd);
 
   ServeCore& core_;
   ServerOptions options_;
   std::ostream* log_;
   ThreadPool pool_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
+  // Serve-loop state: touched by the calling thread only.
   IntakeQueue queue_;
-  bool stop_batcher_ = false;
   bool draining_ = false;
+  Connections connections_;
+  std::uint64_t next_conn_id_ = 0;
 
   std::mutex refit_mutex_;
   std::condition_variable refit_cv_;
   bool refit_kick_ = false;
   bool stop_refit_ = false;
-
-  std::mutex write_mutex_;
-  std::vector<Connection> connections_;
-
-  std::mutex fd_mutex_;
-  std::map<int, std::size_t> fd_refs_;  ///< fd -> queued replies
-  std::set<int> fd_dead_;  ///< disconnected; close when refs drop to zero
-
-  /// Bumped by the batcher every time it completes a batch; the intake
-  /// tick compares against last_batcher_steps_ to decide whether the
-  /// daemon has earned a heartbeat.
-  std::atomic<unsigned long long> batcher_steps_{0};
-  unsigned long long last_batcher_steps_ = 0;
 };
 
 }  // namespace mphpc::serve

@@ -86,22 +86,15 @@ std::string ServeCore::handle_line(std::string_view line, ThreadPool* pool) {
     request_errors_.fetch_add(1, std::memory_order_relaxed);
     return error_reply("", "bad_request", e.what());
   }
-  return handle_request(request, pool);
+  return std::move(handle_requests(std::span(&request, 1), pool).front());
 }
 
 std::string ServeCore::handle_request(const Request& request, ThreadPool* pool) {
   MPHPC_EXPECTS(pool == nullptr || pool->size() >= 1);
   try {
     switch (request.op) {
-      case Op::kPredict: {
-        std::vector<std::uint8_t> fallback;
-        std::vector<core::Rpv> rpvs = guard_.predict_rpvs(
-            std::span<const sim::RunProfile>(&request.profile, 1), pool,
-            &fallback);
-        apply_app_degrade(request.profile, rpvs.front(), fallback.front());
-        predicts_.fetch_add(1, std::memory_order_relaxed);
-        return predict_reply(request.id, rpvs.front(), fallback.front() != 0);
-      }
+      case Op::kPredict:
+        return std::move(handle_requests(std::span(&request, 1), pool).front());
       case Op::kFeedback:
         return handle_feedback(request);
       case Op::kStats:
@@ -449,6 +442,7 @@ std::string ServeCore::stats_reply(std::string_view id) {
   w.field("request_errors", request_errors_.load(std::memory_order_relaxed));
   w.field("shed", shed_.load(std::memory_order_relaxed));
   w.field("deadline_expired", deadline_expired_.load(std::memory_order_relaxed));
+  w.field("dropped", dropped_.load(std::memory_order_relaxed));
   w.end_object();
   w.begin_object("lanes");
   w.begin_object("predict");

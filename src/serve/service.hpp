@@ -86,7 +86,7 @@ class ServeCore {
       std::span<const Request> requests, ThreadPool* pool = nullptr);
 
   /// Serves one parsed request (shutdown gets an ok ack; the transport
-  /// owns the actual drain).
+  /// owns the actual drain). A predict takes the handle_requests path.
   [[nodiscard]] std::string handle_request(const Request& request,
                                            ThreadPool* pool = nullptr);
 
@@ -142,6 +142,10 @@ class ServeCore {
   void note_deadline_expired() noexcept {
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// A queued request skipped unserved because its client was dropped.
+  void note_dropped() noexcept {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
   /// Latest per-lane intake depths, sampled by the transport for stats.
   void note_lane_depths(std::size_t predict_depth,
                         std::size_t feedback_depth) noexcept {
@@ -194,6 +198,7 @@ class ServeCore {
   std::atomic<long long> shed_predict_{0};
   std::atomic<long long> shed_feedback_{0};
   std::atomic<long long> deadline_expired_{0};
+  std::atomic<long long> dropped_{0};
   std::atomic<long long> app_fallbacks_{0};
   std::atomic<long long> lane_predict_depth_{0};
   std::atomic<long long> lane_feedback_depth_{0};

@@ -8,10 +8,14 @@
 #include <poll.h>
 #include <spawn.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -486,6 +490,200 @@ TEST(ServeIntake, LineOneByteOverTheCapIsRejectedWhenItEndsInOneRead) {
   EXPECT_EQ(string_field(run.replies[0], "code"), "bad_request");
   EXPECT_EQ(count_oversized(run), 1u);
   EXPECT_TRUE(is_stats_reply(run.replies[1], "next"));
+}
+
+// ------------------------------------------------------ serve transport ----
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+}
+
+/// Connects to the daemon's socket, retrying while it starts up.
+int connect_socket(const std::string& path) {
+  sockaddr_un addr{};
+  if (path.size() >= sizeof addr.sun_path) return -1;
+  addr.sun_family = AF_UNIX;
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends all of `data`; false when the peer is gone or stalls for 2 s.
+bool send_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 2000) <= 0) return false;
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Reads reply lines until `want` arrived, the peer closed, or it stayed
+/// silent for `idle_ms`. `eof` reports whether the peer closed.
+std::vector<std::string> read_lines(int fd, std::size_t want, int idle_ms,
+                                    bool* eof = nullptr) {
+  std::vector<std::string> lines;
+  std::string pending;
+  std::array<char, 65536> buf{};
+  if (eof != nullptr) *eof = false;
+  while (lines.size() < want) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, idle_ms) <= 0) break;
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n <= 0) {
+      if (eof != nullptr) *eof = true;
+      break;
+    }
+    pending.append(buf.data(), static_cast<std::size_t>(n));
+    for (std::size_t nl; (nl = pending.find('\n')) != std::string::npos;) {
+      lines.push_back(pending.substr(0, nl));
+      pending.erase(0, nl + 1);
+    }
+  }
+  return lines;
+}
+
+/// One request on a fresh connection; the reply line, or "" after 2 s.
+std::string ask(const std::string& socket, const std::string& line) {
+  const int fd = connect_socket(socket);
+  if (fd < 0) return "";
+  const auto lines = send_all(fd, line + "\n") ? read_lines(fd, 1, 2000)
+                                               : std::vector<std::string>();
+  ::close(fd);
+  return lines.empty() ? "" : lines.front();
+}
+
+/// `mphpc serve --socket` as a child process; SIGKILLed and reaped on
+/// scope exit unless the test already reaped it.
+struct SocketDaemon {
+  pid_t pid = -1;
+
+  SocketDaemon(const std::string& dir, const std::string& socket) {
+    std::array<std::string, 8> args = {
+        MPHPC_CLI_BIN, "serve",   "--state-dir", dir + "/state",
+        "--model",     dir + "/model.txt", "--socket", socket};
+    std::array<char*, 9> argv{};
+    for (std::size_t i = 0; i < args.size(); ++i) argv[i] = args[i].data();
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+    if (::posix_spawn(&pid, MPHPC_CLI_BIN, &actions, nullptr, argv.data(),
+                      environ) != 0) {
+      pid = -1;
+    }
+    posix_spawn_file_actions_destroy(&actions);
+  }
+  SocketDaemon(const SocketDaemon&) = delete;
+  SocketDaemon& operator=(const SocketDaemon&) = delete;
+  ~SocketDaemon() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+
+  /// SIGTERMs the daemon and waits up to `timeout_ms` for it to exit;
+  /// its exit code, or -1 when it is still running.
+  int terminate(double timeout_ms) {
+    const auto start = Clock::now();
+    ::kill(pid, SIGTERM);
+    int status = 0;
+    while (ms_since(start) < timeout_ms) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) {
+        pid = -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+};
+
+TEST(ServeTransport, NonReadingClientDoesNotStallOthers) {
+  // Client A pipelines predicts and never reads. The daemon must drop A
+  // once its unsent replies pass the outbound cap, keep serving other
+  // clients meanwhile, still answer a half-closed client in full, and
+  // drain promptly on SIGTERM.
+  const std::string dir = serve_test_dir("transport");
+  const std::string socket = dir + "/serve.sock";
+  SocketDaemon daemon(dir, socket);
+  ASSERT_GT(daemon.pid, 0);
+  ASSERT_NE(ask(socket, R"({"op":"stats","id":"up"})"), "");
+
+  const std::string predict =
+      R"({"op":"predict","id":"p","profile":{"app":"CoMD","system":"quartz",)"
+      R"("counters":{"total_instructions":1e9}}})"
+      "\n";
+  const int a = connect_socket(socket);
+  ASSERT_GE(a, 0);
+  std::string burst;
+  for (int i = 0; i < 256; ++i) burst += predict;
+  std::size_t a_sent = 0;
+  bool a_dropped = false;
+  while (a_sent < 200'000) {
+    errno = 0;
+    if (!send_all(a, burst)) {
+      a_dropped = errno == EPIPE || errno == ECONNRESET;
+      break;
+    }
+    a_sent += 256;
+  }
+
+  const int b = connect_socket(socket);
+  ASSERT_GE(b, 0);
+  const auto b_start = Clock::now();
+  EXPECT_TRUE(send_all(b, predict));
+  const auto b_reply = read_lines(b, 1, 2000);
+  const double b_ms = ms_since(b_start);
+  ::close(b);
+  EXPECT_EQ(b_reply.size(), 1u) << "no reply to B within 2 s";
+  if (!b_reply.empty()) {
+    EXPECT_NE(b_reply.front().find("\"ok\":true"), std::string::npos)
+        << b_reply.front();
+  }
+  EXPECT_LT(b_ms, 100.0);
+
+  bool a_eof = false;
+  const std::size_t a_received = read_lines(a, a_sent, 1000, &a_eof).size();
+  ::close(a);
+  EXPECT_TRUE(a_dropped) << "A stopped after " << a_sent
+                         << " predicts without being disconnected";
+  EXPECT_TRUE(a_eof);
+  EXPECT_LT(a_received, a_sent);
+
+  const std::string stats = ask(socket, R"({"op":"stats","id":"s"})");
+  ASSERT_NE(stats, "");
+  const serve::JsonValue stats_reply = serve::JsonValue::parse(stats);
+  const auto* dropped = stats_reply.find("counters")->find("dropped");
+  EXPECT_TRUE(dropped != nullptr && dropped->as_number() > 0.0) << stats;
+
+  const int c = connect_socket(socket);
+  ASSERT_GE(c, 0);
+  std::string eight;
+  for (int i = 0; i < 8; ++i) eight += predict;
+  EXPECT_TRUE(send_all(c, eight));
+  ::shutdown(c, SHUT_WR);
+  bool c_eof = false;
+  const auto c_replies = read_lines(c, 9, 2000, &c_eof);
+  ::close(c);
+  EXPECT_EQ(c_replies.size(), 8u);
+  EXPECT_TRUE(c_eof);
+
+  EXPECT_EQ(daemon.terminate(5000), 143) << "SIGTERM did not drain within 5 s";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1064,8 +1064,8 @@ TEST(ServeCrashTest, SigkillMidRefitRestartsFromLastPersistedModel) {
 // -------------------------------------------------- concurrency stress ----
 
 // TSan-lane stress: predicts, feedback, refits, and stats hammer one
-// ServeCore concurrently, mirroring the daemon's batcher + refit + intake
-// threads. Counters must reconcile exactly afterwards.
+// ServeCore concurrently, more callers than the daemon's serve loop and
+// refit thread. Counters must reconcile exactly afterwards.
 TEST(ServeStressTest, ConcurrentPredictFeedbackRefitAndStats) {
   const auto& s = shared_state();
   const std::string dir = fresh_dir("stress");

@@ -392,9 +392,11 @@ EOF
   # parity tests ran under ASan/UBSan (--no-tests=error fails the lane if
   # they vanish). The histogram tree builder likewise writes cells at
   # hist + width * bin from offset bin-table entries; its golden and
-  # thread-count determinism fits must run under ASan too.
+  # thread-count determinism fits must run under ASan too. So must the
+  # serve transport's line framing and outbound-buffer offsets
+  # (ServeIntake, ServeTransport).
   ctest --preset asan \
-    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts' \
+    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts|ServeIntake|ServeTransport' \
     --no-tests=error --output-on-failure
   if [[ "${with_tsan}" -eq 1 ]]; then
     # The full suite already ran under TSan above; this re-run asserts the
