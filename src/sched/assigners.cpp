@@ -83,6 +83,10 @@ JobOrderCache::State JobOrderCache::lookup(const Job& job,
   return states_[id];
 }
 
+void MachineAssigner::skip(std::size_t key, std::size_t /*n*/) {
+  MPHPC_EXPECTS(key < state_keys());
+}
+
 arch::SystemId RoundRobinAssigner::assign(const Job& /*job*/, std::size_t started_index,
                                           const ClusterView& view) {
   const auto& machines = view.machines();
@@ -90,9 +94,22 @@ arch::SystemId RoundRobinAssigner::assign(const Job& /*job*/, std::size_t starte
   return machines[started_index % machines.size()].id;
 }
 
+MachineMask RoundRobinAssigner::reachable(std::size_t /*key*/, std::size_t started_index,
+                                          const ClusterView& view) const {
+  const auto& machines = view.machines();
+  MPHPC_EXPECTS(!machines.empty());
+  return machine_bit(machines[started_index % machines.size()].id);
+}
+
 arch::SystemId RandomAssigner::assign(const Job& /*job*/, std::size_t /*started_index*/,
                                       const ClusterView& view) {
   return view.machines()[rng_.below(view.machines().size())].id;
+}
+
+void RandomAssigner::skip(std::size_t key, std::size_t n) {
+  MPHPC_EXPECTS(key < state_keys());
+  // Rng::below() is exactly one draw per call.
+  for (; n > 0; --n) (void)rng_();
 }
 
 arch::SystemId UserRoundRobinAssigner::assign(const Job& job,
@@ -102,6 +119,19 @@ arch::SystemId UserRoundRobinAssigner::assign(const Job& job,
     return kGpuSystems[gpu_next_++ % kGpuSystems.size()];
   }
   return kCpuSystems[cpu_next_++ % kCpuSystems.size()];
+}
+
+void UserRoundRobinAssigner::skip(std::size_t key, std::size_t n) {
+  MPHPC_EXPECTS(key < state_keys());
+  (key == kGpuKey ? gpu_next_ : cpu_next_) += n;
+}
+
+MachineMask UserRoundRobinAssigner::reachable(std::size_t key,
+                                              std::size_t /*started_index*/,
+                                              const ClusterView& /*view*/) const {
+  MPHPC_EXPECTS(key < state_keys());
+  const auto& systems = key == kGpuKey ? kGpuSystems : kCpuSystems;
+  return machine_bit(systems[0]) | machine_bit(systems[1]);
 }
 
 void ModelBasedAssigner::prime(std::span<const Job> jobs) {
@@ -181,6 +211,27 @@ arch::SystemId GuardedModelBasedAssigner::assign(const Job& job,
   const auto order =
       fastest_order([&](arch::SystemId m) { return job.predicted.time_ratio(m); });
   return pick_with_fallback(order, job, view);
+}
+
+std::size_t GuardedModelBasedAssigner::state_key(const Job& job) const {
+  const JobOrderCache::Order* cached = nullptr;
+  const JobOrderCache::State state = cache_.lookup(job, &cached);
+  const bool plausible = state == JobOrderCache::State::kOrdered ||
+                         (state == JobOrderCache::State::kUnknown &&
+                          core::is_plausible_rpv(job.predicted, bounds_));
+  return plausible ? kNoStateKey : fallback_.state_key(job);
+}
+
+void GuardedModelBasedAssigner::skip(std::size_t key, std::size_t n) {
+  MPHPC_EXPECTS(key < state_keys());
+  fallback_.skip(key, n);
+  fallbacks_ += static_cast<long long>(n);
+}
+
+MachineMask GuardedModelBasedAssigner::reachable(std::size_t key, std::size_t started_index,
+                                                 const ClusterView& view) const {
+  MPHPC_EXPECTS(key == kNoStateKey || key < state_keys());
+  return key == kNoStateKey ? kAnyMachine : fallback_.reachable(key, started_index, view);
 }
 
 }  // namespace mphpc::sched

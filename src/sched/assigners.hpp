@@ -20,6 +20,13 @@
 
 namespace mphpc::sched {
 
+/// Set of machines as a bit mask over arch::SystemId (bit i = system i).
+using MachineMask = std::uint32_t;
+inline constexpr MachineMask kAnyMachine = (MachineMask{1} << arch::kNumSystems) - 1;
+[[nodiscard]] constexpr MachineMask machine_bit(arch::SystemId id) noexcept {
+  return MachineMask{1} << static_cast<unsigned>(id);
+}
+
 /// Strategy interface: `Machine(j, i, M)` in the paper's notation, where
 /// `started_index` is the count of jobs started so far (the paper's i).
 class MachineAssigner {
@@ -38,15 +45,45 @@ class MachineAssigner {
   // lint:allow-next-line contract-coverage -- no-op default has no precondition
   virtual void prime(std::span<const Job> jobs) { (void)jobs; }
 
-  /// True when, for the job set passed to the latest prime(), assign() is
-  /// a pure function of (job, started_index, view) — no internal state
-  /// advances per call. The engine's indexed backfill path may then skip
-  /// candidates that cannot start on any machine without calling assign()
-  /// on them; stateful assigners (Random's RNG, User+RR's rotation) must
-  /// see every candidate so their state advances identically to a full
-  /// scan. Default: stateful.
-  [[nodiscard]] virtual bool stateless_assign() const noexcept {
-    return false;
+  // ---- What an assign() call touches -------------------------------
+  // The calendar engine's backfill pass does not call assign() on a
+  // candidate wider than the free count of every machine reachable() says
+  // the call could return: the call would be rejected anyway. Its side
+  // effects are replayed instead. An assigner declares its per-call state
+  // as independent counters ("state keys"): state_key(job) names the one a
+  // call on `job` advances, and skip(key, n) advances it as if n calls had
+  // been made and their results dropped. Keys must be independent — a
+  // call on key k neither reads nor writes another key's counter — which
+  // is what makes it exact for the pass to charge skipped calls lazily,
+  // one key at a time, before the next call on that key. An assigner with
+  // per-call state must override state_keys, state_key and skip; the
+  // defaults declare a pure one.
+
+  static constexpr std::size_t kNoStateKey = static_cast<std::size_t>(-1);
+
+  /// Number of state keys, for the job set passed to the latest prime().
+  /// 0 means assign() is pure.
+  [[nodiscard]] virtual std::size_t state_keys() const noexcept { return 0; }
+
+  /// The key a call on `job` advances (< state_keys()), or kNoStateKey
+  /// when that call is pure. A pure function of the job after prime().
+  [[nodiscard]] virtual std::size_t state_key(const Job& /*job*/) const {
+    return kNoStateKey;
+  }
+
+  /// Advances key `key` as if n calls had been made and their results
+  /// dropped. A pure assigner has no key, so the default always fails its
+  /// precondition.
+  virtual void skip(std::size_t key, std::size_t n);
+
+  /// Machines a call on a job of key `key` (kNoStateKey for pure calls)
+  /// can return at `started_index` under `view`, as a mask over
+  /// arch::SystemId. Default: any machine.
+  // lint:allow-next-line contract-coverage -- default returns every machine for any input
+  [[nodiscard]] virtual MachineMask reachable(std::size_t /*key*/,
+                                              std::size_t /*started_index*/,
+                                              const ClusterView& /*view*/) const {
+    return kAnyMachine;
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -93,7 +130,9 @@ class RoundRobinAssigner final : public MachineAssigner {
  public:
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
-  [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
+  /// Only machines[started_index % M]: the choice ignores the job.
+  [[nodiscard]] MachineMask reachable(std::size_t key, std::size_t started_index,
+                                      const ClusterView& view) const override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 };
 
@@ -103,6 +142,10 @@ class RandomAssigner final : public MachineAssigner {
   explicit RandomAssigner(std::uint64_t seed) noexcept : rng_(seed) {}
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
+  /// One key: the RNG, which each call steps exactly once.
+  [[nodiscard]] std::size_t state_keys() const noexcept override { return 1; }
+  [[nodiscard]] std::size_t state_key(const Job& /*job*/) const override { return 0; }
+  void skip(std::size_t key, std::size_t n) override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
  private:
@@ -115,6 +158,17 @@ class UserRoundRobinAssigner final : public MachineAssigner {
  public:
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
+  /// Two keys: the GPU rotation (kGpuKey) and the CPU rotation (kCpuKey).
+  static constexpr std::size_t kGpuKey = 0;
+  static constexpr std::size_t kCpuKey = 1;
+  [[nodiscard]] std::size_t state_keys() const noexcept override { return 2; }
+  [[nodiscard]] std::size_t state_key(const Job& job) const override {
+    return job.gpu_capable ? kGpuKey : kCpuKey;
+  }
+  void skip(std::size_t key, std::size_t n) override;
+  /// The GPU pair for kGpuKey, the CPU pair for kCpuKey.
+  [[nodiscard]] MachineMask reachable(std::size_t key, std::size_t started_index,
+                                      const ClusterView& view) const override;
   [[nodiscard]] std::string name() const override { return "User+RR"; }
 
  private:
@@ -129,7 +183,6 @@ class ModelBasedAssigner final : public MachineAssigner {
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
   void prime(std::span<const Job> jobs) override;
-  [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "Model-based"; }
 
  private:
@@ -143,7 +196,6 @@ class OracleAssigner final : public MachineAssigner {
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
   void prime(std::span<const Job> jobs) override;
-  [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "Oracle"; }
 
  private:
@@ -166,15 +218,21 @@ class GuardedModelBasedAssigner final : public MachineAssigner {
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
   void prime(std::span<const Job> jobs) override;
-  /// Pure only when every primed job took the model path: one implausible
-  /// RPV routes through the stateful User+RR fallback, whose rotation
-  /// must advance on every call.
-  [[nodiscard]] bool stateless_assign() const noexcept override {
-    return primed_pure_;
+  /// Pure once every primed job took the model path. Otherwise calls on
+  /// implausible jobs go to the User+RR fallback and advance its keys;
+  /// calls on plausible jobs stay pure (kNoStateKey).
+  [[nodiscard]] std::size_t state_keys() const noexcept override {
+    return primed_pure_ ? 0 : fallback_.state_keys();
   }
+  [[nodiscard]] std::size_t state_key(const Job& job) const override;
+  /// Forwards to the fallback and counts the skipped calls as fallbacks.
+  void skip(std::size_t key, std::size_t n) override;
+  [[nodiscard]] MachineMask reachable(std::size_t key, std::size_t started_index,
+                                      const ClusterView& view) const override;
   [[nodiscard]] std::string name() const override { return "Model-based (guarded)"; }
 
-  /// Jobs placed by the fallback heuristic instead of the model.
+  /// Calls answered by the fallback heuristic instead of the model,
+  /// counting backfill candidates that were rejected or skipped.
   [[nodiscard]] long long fallbacks() const noexcept { return fallbacks_; }
 
  private:

@@ -83,20 +83,23 @@ struct RunningRef {
   std::multimap<double, RunningJob>::iterator where;
 };
 
-/// Intrusive FCFS queue over job indices, with one sublist per distinct
-/// job width (nodes_required). The main list is the exact FCFS order (a
-/// monotone sequence number is stamped on every push, so resubmissions
-/// re-enter at the back). The width sublists let the indexed backfill
-/// path merge only the size classes that can still start somewhere,
-/// instead of walking every queued job. A job is in the queue at most
-/// once at a time (queued -> running -> pending -> queued), which is what
-/// makes the intrusive per-job links sound.
+/// Intrusive FCFS queue over job indices, with one sublist per class of
+/// jobs sharing a (width, state key) pair — width is nodes_required, the
+/// state key is the assigner's MachineAssigner::state_key. The main list
+/// is the exact FCFS order (a monotone sequence number is stamped on
+/// every push, so resubmissions re-enter at the back). The class
+/// sublists let the backfill pass merge only the classes that can still
+/// start; their live counts let it charge a class's unreached jobs to its
+/// key without walking them. A job is in the queue at most once at a time
+/// (queued -> running -> pending -> queued), which is what makes the
+/// intrusive per-job links sound.
 class FcfsQueue {
  public:
   static constexpr std::size_t kNull = std::numeric_limits<std::size_t>::max();
 
-  /// Sizes the per-job link arrays and discovers the width classes.
-  void init(const std::vector<Job>& jobs) {
+  /// Sizes the per-job link arrays and discovers the classes. The
+  /// assigner must be primed: state keys are read once per job here.
+  void init(const std::vector<Job>& jobs, const MachineAssigner& assigner) {
     const std::size_t n = jobs.size();
     next_.assign(n, kNull);
     prev_.assign(n, kNull);
@@ -105,16 +108,21 @@ class FcfsQueue {
     seq_.assign(n, 0);
     cls_.assign(n, 0);
     classes_.clear();
+    const std::size_t keys = assigner.state_keys() + 1;  // key slot 0: pure calls
     int max_width = 0;
     for (const Job& job : jobs) max_width = std::max(max_width, job.nodes_required);
-    std::vector<std::size_t> slot(static_cast<std::size_t>(max_width) + 1, kNull);
+    std::vector<std::size_t> slot((static_cast<std::size_t>(max_width) + 1) * keys, kNull);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto w = static_cast<std::size_t>(jobs[i].nodes_required);
-      if (slot[w] == kNull) {
-        slot[w] = classes_.size();
-        classes_.push_back({jobs[i].nodes_required, kNull, kNull});
+      const std::size_t key = assigner.state_key(jobs[i]);
+      const std::size_t key_slot = key == MachineAssigner::kNoStateKey ? 0 : key + 1;
+      MPHPC_ASSERT(key_slot < keys);
+      const std::size_t at =
+          static_cast<std::size_t>(jobs[i].nodes_required) * keys + key_slot;
+      if (slot[at] == kNull) {
+        slot[at] = classes_.size();
+        classes_.push_back({jobs[i].nodes_required, key});
       }
-      cls_[i] = slot[w];
+      cls_[i] = slot[at];
     }
     head_ = tail_ = kNull;
     size_ = 0;
@@ -133,6 +141,7 @@ class FcfsQueue {
     wnext_[j] = kNull;
     if (c.tail == kNull) c.head = j; else wnext_[c.tail] = j;
     c.tail = j;
+    ++c.live;
     ++size_;
   }
 
@@ -143,6 +152,7 @@ class FcfsQueue {
     Class& c = classes_[cls_[j]];
     if (wprev_[j] == kNull) c.head = wnext_[j]; else wnext_[wprev_[j]] = wnext_[j];
     if (wnext_[j] == kNull) c.tail = wprev_[j]; else wprev_[wnext_[j]] = wprev_[j];
+    --c.live;
     --size_;
   }
 
@@ -154,20 +164,29 @@ class FcfsQueue {
   [[nodiscard]] int class_width(std::size_t c) const noexcept {
     return classes_[c].width;
   }
+  /// The class's state key (MachineAssigner::kNoStateKey when pure).
+  [[nodiscard]] std::size_t class_key(std::size_t c) const noexcept {
+    return classes_[c].key;
+  }
   [[nodiscard]] std::size_t class_head(std::size_t c) const noexcept {
     return classes_[c].head;
+  }
+  [[nodiscard]] std::size_t class_live(std::size_t c) const noexcept {
+    return classes_[c].live;
   }
   [[nodiscard]] std::size_t wnext(std::size_t j) const noexcept { return wnext_[j]; }
 
  private:
   struct Class {
     int width = 0;
+    std::size_t key = MachineAssigner::kNoStateKey;
     std::size_t head = kNull;
     std::size_t tail = kNull;
+    std::size_t live = 0;  ///< queued jobs in the class
   };
 
   std::vector<std::size_t> next_, prev_;    // main FCFS list
-  std::vector<std::size_t> wnext_, wprev_;  // per-width-class list
+  std::vector<std::size_t> wnext_, wprev_;  // per-class list
   std::vector<std::uint64_t> seq_;
   std::vector<std::size_t> cls_;  // job -> class slot
   std::vector<Class> classes_;
@@ -599,12 +618,13 @@ class ReferenceEngine final : public EngineBase<ReferenceEngine> {
 };
 
 /// The production engine (SimEngineKind::kCalendar): calendar queues for
-/// releases and kills, and a width-indexed FCFS queue so backfill skips
-/// whole job-size classes that cannot start anywhere. With a stateless
-/// assigner the indexed scan provably starts the same jobs as the full
-/// rescan (a skipped candidate would only ever be assigned and rejected);
-/// stateful assigners (Random, User+RR, guarded fallback) keep the full
-/// scan so their internal state advances call-for-call identically.
+/// releases and kills, and a class-indexed FCFS queue whose backfill pass
+/// calls assign() only on candidates that can start on a machine the call
+/// can reach. Every other candidate would be assigned and then rejected by
+/// the free check; its call is skipped, and charged to its state key when
+/// the assigner has one, so results match the reference engine's full
+/// rescan bit for bit for every assigner (bounded-depth stateless runs
+/// aside; see SchedulerOptions::backfill_depth).
 class CalendarEngine final : public EngineBase<CalendarEngine> {
   friend class EngineBase<CalendarEngine>;
 
@@ -612,11 +632,13 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   using EngineBase<CalendarEngine>::EngineBase;
 
  private:
+  static constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
+
   void init_queues() {
-    queue_.init(jobs_);
-    // Must be read after prime(): GuardedModelBasedAssigner only knows
-    // whether every job takes the pure model path once primed.
-    indexed_ = assigner_.stateless_assign();
+    // Must run after prime(): GuardedModelBasedAssigner only knows its
+    // state keys once primed.
+    queue_.init(jobs_, assigner_);
+    stateful_ = assigner_.state_keys() > 0;
   }
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
   void queue_push_back(std::size_t i) { queue_.push_back(i); }
@@ -651,17 +673,6 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   }
 
   void schedule_pass(double now) {
-    if (indexed_) {
-      schedule_pass_indexed(now);
-    } else {
-      schedule_pass_scan(now);
-    }
-  }
-
-  /// Full-rescan pass over the intrusive queue — candidate visits, assign
-  /// calls, and depth counting all match ReferenceEngine::schedule_pass
-  /// one-for-one (required for stateful assigners).
-  void schedule_pass_scan(double now) {
     while (!queue_.empty()) {
       const std::size_t head = queue_.front();
       const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
@@ -674,142 +685,167 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
       const auto [shadow_time, projected_free] =
           state_[mi].earliest_fit(now, jobs_[head].nodes_required);
-      int shadow_spare = projected_free - jobs_[head].nodes_required;
-
+      // No machine has a free node: nothing can backfill, and the full
+      // rescan calls assign() on no candidate either.
       int max_free = 0;
       for (const auto& s : state_) max_free = std::max(max_free, s.free);
       if (max_free == 0) break;
+      backfill(now, head, m, shadow_time, projected_free - jobs_[head].nodes_required);
+      break;  // head stays blocked until the next event
+    }
+  }
 
-      int scanned = 0;
-      for (std::size_t it = queue_.next(head);
-           it != FcfsQueue::kNull && scanned < depth_limit_; ++scanned) {
-        const std::size_t cand = it;
-        it = queue_.next(it);  // advance before a possible erase
-        const Job& job = jobs_[cand];
-        const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
-        const auto ci = static_cast<std::size_t>(cm);
-        if (state_[ci].free < job.nodes_required) continue;
-        if (cm != m) {
-          start_job(cand, cm, now);
-          queue_.erase(cand);
-          continue;
+  /// Backfills behind `head`, blocked and reserved on machine `m` at
+  /// `shadow_time` with `shadow_spare` nodes left over at it.
+  ///
+  /// Candidates are visited in FCFS order by merging the class sublists,
+  /// but only from admitted classes: those whose width is at most the
+  /// largest free count among the machines their key can reach
+  /// (MachineAssigner::reachable). Free counts and started_count_ change
+  /// only at a start, so bounds are recomputed only there: classes that
+  /// no longer fit are dropped, and classes whose bound rose (Round-Robin
+  /// moving to its next machine) are re-admitted past the last candidate
+  /// visited. Calls skipped on a stateful key are charged lazily with
+  /// MachineAssigner::skip — before the next call on that key, and at the
+  /// end of the pass — which is exact because keys are independent.
+  ///
+  /// Depth (SchedulerOptions::backfill_depth): with a stateless assigner
+  /// only visited candidates count; with a stateful one the pass stops
+  /// where the full rescan would, at the depth-th job after the head.
+  void backfill(double now, std::size_t head, arch::SystemId m, double shadow_time,
+                int shadow_spare) {
+    const std::uint64_t limit = depth_position(head);
+    int visits_left = stateful_ ? std::numeric_limits<int>::max() : depth_limit_;
+    lanes_.clear();
+    for (std::size_t c = 0; c < queue_.num_classes(); ++c) {
+      Lane lane{queue_.class_head(c), queue_.class_live(c), false};
+      // The head has the lowest live sequence number, so it can only be
+      // the front of its own class.
+      if (lane.at == head) {
+        lane.at = queue_.wnext(head);
+        --lane.left;
+      }
+      lanes_.push_back(lane);
+    }
+    std::uint64_t last = queue_.seq(head);
+    admit(last);
+
+    while (visits_left > 0) {
+      std::size_t best = FcfsQueue::kNull;
+      std::uint64_t best_seq = kNoLimit;
+      for (std::size_t c = 0; c < lanes_.size(); ++c) {
+        const Lane& lane = lanes_[c];
+        if (lane.admitted && lane.at != FcfsQueue::kNull &&
+            queue_.seq(lane.at) < best_seq) {
+          best = c;
+          best_seq = queue_.seq(lane.at);
         }
+      }
+      if (best == FcfsQueue::kNull || best_seq > limit) break;
+      const std::size_t cand = lanes_[best].at;
+      charge_before(queue_.class_key(best), best_seq);
+      lanes_[best].at = queue_.wnext(cand);
+      --lanes_[best].left;
+      last = best_seq;
+      --visits_left;
+
+      const Job& job = jobs_[cand];
+      const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
+      const auto ci = static_cast<std::size_t>(cm);
+      if (state_[ci].free < job.nodes_required) continue;
+      bool started = false;
+      if (cm != m) {
+        started = true;
+      } else {
         // Same machine as the reservation: must not delay the head.
         const double end = now + job.runtime[ci];
         if (end <= shadow_time) {
-          start_job(cand, cm, now);
-          queue_.erase(cand);
+          started = true;
         } else if (shadow_spare >= job.nodes_required) {
           shadow_spare -= job.nodes_required;
-          start_job(cand, cm, now);
-          queue_.erase(cand);
-        }
-      }
-      break;  // head stays blocked until the next event
-    }
-  }
-
-  /// Indexed pass: merges the per-width sublists by FCFS sequence number,
-  /// visiting only candidates whose size class can still start on *some*
-  /// machine. For a stateless assigner this starts exactly the jobs the
-  /// full rescan would: every skipped candidate would have been assigned
-  /// and then rejected by the per-machine free check (free <= max_free <
-  /// nodes_required), a no-op for a pure assign(). The per-pass work is
-  /// O(classes) per examined candidate instead of O(queue length) total.
-  void schedule_pass_indexed(double now) {
-    while (!queue_.empty()) {
-      const std::size_t head = queue_.front();
-      const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
-      const auto mi = static_cast<std::size_t>(m);
-      if (state_[mi].free >= jobs_[head].nodes_required) {
-        start_job(head, m, now);
-        queue_.erase(head);
-        continue;
-      }
-
-      const auto [shadow_time, projected_free] =
-          state_[mi].earliest_fit(now, jobs_[head].nodes_required);
-      int shadow_spare = projected_free - jobs_[head].nodes_required;
-
-      int max_free = 0;
-      for (const auto& s : state_) max_free = std::max(max_free, s.free);
-      if (max_free == 0) break;
-
-      // One cursor per size class that can still start somewhere. The head
-      // is the front of its class (lowest live sequence number overall),
-      // so skipping it once at cursor setup suffices.
-      cursors_.clear();
-      for (std::size_t c = 0; c < queue_.num_classes(); ++c) {
-        if (queue_.class_width(c) > max_free) continue;
-        std::size_t at = queue_.class_head(c);
-        if (at == head) at = queue_.wnext(at);
-        if (at != FcfsQueue::kNull) cursors_.push_back({c, at});
-      }
-
-      int scanned = 0;
-      while (scanned < depth_limit_) {
-        // Free capacity only shrinks within a pass: drop classes the pool
-        // can no longer start, then take the lowest-sequence candidate.
-        std::size_t keep = 0;
-        for (std::size_t k = 0; k < cursors_.size(); ++k) {
-          if (queue_.class_width(cursors_[k].cls) <= max_free) {
-            cursors_[keep++] = cursors_[k];
-          }
-        }
-        cursors_.resize(keep);
-        if (cursors_.empty()) break;
-        std::size_t best = 0;
-        for (std::size_t k = 1; k < cursors_.size(); ++k) {
-          if (queue_.seq(cursors_[k].at) < queue_.seq(cursors_[best].at)) best = k;
-        }
-        const std::size_t cand = cursors_[best].at;
-        const std::size_t nxt = queue_.wnext(cand);
-        if (nxt == FcfsQueue::kNull) {
-          cursors_[best] = cursors_.back();
-          cursors_.pop_back();
-        } else {
-          cursors_[best].at = nxt;
-        }
-        ++scanned;
-
-        const Job& job = jobs_[cand];
-        const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
-        const auto ci = static_cast<std::size_t>(cm);
-        if (state_[ci].free < job.nodes_required) continue;
-        bool started = false;
-        if (cm != m) {
           started = true;
-        } else {
-          // Same machine as the reservation: must not delay the head.
-          const double end = now + job.runtime[ci];
-          if (end <= shadow_time) {
-            started = true;
-          } else if (shadow_spare >= job.nodes_required) {
-            shadow_spare -= job.nodes_required;
-            started = true;
-          }
         }
-        if (!started) continue;
-        start_job(cand, cm, now);
-        queue_.erase(cand);
-        max_free = 0;
-        for (const auto& s : state_) max_free = std::max(max_free, s.free);
-        if (max_free == 0) break;
       }
-      break;  // head stays blocked until the next event
+      if (!started) continue;
+      start_job(cand, cm, now);
+      queue_.erase(cand);
+      admit(last);
+    }
+
+    // Charge the calls the full rescan would have made past the last visit.
+    for (std::size_t c = 0; c < lanes_.size(); ++c) {
+      charge(queue_.class_key(c), limit == kNoLimit ? lanes_[c].left : walk(c, limit + 1));
     }
   }
 
-  struct Cursor {
-    std::size_t cls = 0;
-    std::size_t at = 0;
+  /// Recomputes each class's admission after a start; a re-admitted class
+  /// first walks past sequence number `last`.
+  void admit(std::uint64_t last) {
+    for (std::size_t c = 0; c < lanes_.size(); ++c) {
+      const std::size_t key = queue_.class_key(c);
+      const MachineMask mask = assigner_.reachable(key, started_count_, view_);
+      int bound = 0;
+      for (std::size_t mi = 0; mi < state_.size(); ++mi) {
+        if ((mask >> mi) & 1U) bound = std::max(bound, state_[mi].free);
+      }
+      const bool fits = queue_.class_width(c) <= bound;
+      if (fits && !lanes_[c].admitted) charge(key, walk(c, last));
+      lanes_[c].admitted = fits;
+    }
+  }
+
+  /// Charges key `key` for its skipped candidates ahead of sequence
+  /// number `seq`, so its counter is current for the call on `seq`.
+  void charge_before(std::size_t key, std::uint64_t seq) {
+    if (key == MachineAssigner::kNoStateKey) return;
+    for (std::size_t c = 0; c < lanes_.size(); ++c) {
+      if (!lanes_[c].admitted && queue_.class_key(c) == key) charge(key, walk(c, seq));
+    }
+  }
+
+  /// Advances class c's lane past every job with sequence number below
+  /// `end`; returns how many it passed.
+  std::size_t walk(std::size_t c, std::uint64_t end) {
+    Lane& lane = lanes_[c];
+    std::size_t n = 0;
+    while (lane.at != FcfsQueue::kNull && queue_.seq(lane.at) < end) {
+      lane.at = queue_.wnext(lane.at);
+      ++n;
+    }
+    lane.left -= n;
+    return n;
+  }
+
+  /// Replays n skipped calls on key `key`; pure calls have nothing to replay.
+  void charge(std::size_t key, std::size_t n) {
+    if (key != MachineAssigner::kNoStateKey && n > 0) assigner_.skip(key, n);
+  }
+
+  /// Sequence number of the last candidate a bounded full rescan would
+  /// visit behind `head`; kNoLimit for unbounded depth or a stateless
+  /// assigner.
+  [[nodiscard]] std::uint64_t depth_position(std::size_t head) const {
+    if (!stateful_ || depth_limit_ == std::numeric_limits<int>::max()) return kNoLimit;
+    std::size_t at = head;
+    for (int i = 0; i < depth_limit_; ++i) {
+      at = queue_.next(at);
+      if (at == FcfsQueue::kNull) return kNoLimit;
+    }
+    return queue_.seq(at);
+  }
+
+  /// Per-class backfill cursor, scratch reused across passes.
+  struct Lane {
+    std::size_t at = FcfsQueue::kNull;  ///< next job not yet passed
+    std::size_t left = 0;               ///< queued jobs from `at` on
+    bool admitted = false;
   };
 
   FcfsQueue queue_;
   CalendarQueue pending_;
   CalendarQueue kills_;
-  std::vector<Cursor> cursors_;  // scratch, reused across passes
-  bool indexed_ = false;
+  bool stateful_ = false;  ///< assigner_.state_keys() > 0 after prime
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace

@@ -37,9 +37,10 @@ namespace mphpc::sched {
 /// Which event-engine implementation simulate() runs.
 ///
 /// kCalendar is the production engine: calendar/bucket event queues with
-/// an explicit (time, kind, seq) total order, a width-indexed FCFS queue
-/// so backfill skips job-size classes that cannot start anywhere, and
-/// O(1)-amortised event handling — built for 10^6-job traces.
+/// an explicit (time, kind, seq) total order, an FCFS queue indexed by
+/// (width, assigner state key) so backfill skips job classes that cannot
+/// start on any machine their assign() call can reach, and O(1)-amortised
+/// event handling — built for 10^6-job traces.
 /// kReference preserves the original binary-heap + linear-rescan engine
 /// as the golden oracle: both engines produce bit-identical
 /// SimulationResults (golden-tested), kReference just does more work.
@@ -49,10 +50,16 @@ struct SchedulerOptions {
   /// Maximum queued jobs examined per backfill pass. The paper's
   /// Algorithm 1 scans the whole queue; production schedulers often cap
   /// the scan. 0 means unlimited (the default, matching the paper).
-  /// With a stateless assigner (MachineAssigner::stateless_assign) the
-  /// calendar engine only examines — and only counts — candidates that
-  /// could start on some machine; stateful assigners see every candidate
-  /// so their internal state advances exactly as in a full scan.
+  /// The calendar engine counts by one of two rules:
+  ///   - stateless assigner (MachineAssigner::state_keys() == 0): only
+  ///     candidates it visits count, i.e. those that fit a machine the
+  ///     call can reach. Bounded-depth Round-Robin therefore counts only
+  ///     candidates that fit its current target machine, and so sees
+  ///     deeper than the reference engine; no CLI or bench runs
+  ///     Round-Robin with a depth.
+  ///   - stateful assigner: the pass stops where the reference engine's
+  ///     full rescan does, at the depth-th job after the head, so both
+  ///     engines give identical results.
   int backfill_depth = 0;
   /// Per-job checkpoint/restart policy. The default (interval 0) keeps
   /// the restart-from-zero behaviour bit-identically.

@@ -1220,6 +1220,95 @@ TEST(EngineGolden, CollidingTimestampsResolveInJobIndexOrder) {
                            [] { return QuartzOnly(); });
 }
 
+/// Jobs 1..max_width nodes wide; with arrival_span_s > 0 each job is
+/// submitted at a uniform time in [0, arrival_span_s) instead of t = 0.
+std::vector<Job> wide_workload(int n, int max_width, double arrival_span_s,
+                               std::uint64_t seed) {
+  std::vector<Job> jobs;
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    jobs.push_back(make_job(i, rng.uniform(1, 30), rng.uniform(1, 30),
+                            rng.uniform(1, 30), rng.uniform(1, 30),
+                            static_cast<int>(rng.range(1, max_width)),
+                            rng.bernoulli(0.4)));
+    if (arrival_span_s > 0.0) jobs.back().submit_s = rng.uniform(0.0, arrival_span_s);
+  }
+  return jobs;
+}
+
+TEST(EngineGolden, WideJobsIdenticalForEveryAssignerAndDepth) {
+  // Widths 1-6 on 8-node machines: many size classes, which the indexed
+  // pass drops and re-admits as machines fill and drain. Faults make
+  // killed jobs re-enter the queue with fresh sequence numbers.
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  const auto jobs = wide_workload(1'200, 6, 0.0, 61);
+  const auto model = FaultModel::uniform(1500.0, 300.0, 0.05, {}, 67);
+  const auto trace = model.generate(machines, 40'000.0);
+  ASSERT_TRUE(trace.enabled());
+  const SchedulerOptions unlimited;
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return RoundRobinAssigner(); });
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return RandomAssigner(71); });
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return UserRoundRobinAssigner(); });
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return ModelBasedAssigner(); });
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return OracleAssigner(); });
+  expect_engines_identical(jobs, machines, trace, unlimited,
+                           [] { return GuardedModelBasedAssigner(); });
+  for (const int depth : {1, 3, 16}) {
+    SchedulerOptions options;
+    options.backfill_depth = depth;
+    expect_engines_identical(jobs, machines, trace, options,
+                             [] { return RandomAssigner(73); });
+    expect_engines_identical(jobs, machines, trace, options,
+                             [] { return UserRoundRobinAssigner(); });
+  }
+}
+
+TEST(EngineGolden, GuardedFallbackCountIdentical) {
+  // fallbacks() counts every fallback call, including calls on candidates
+  // that are assigned and rejected; expect_results_identical cannot see
+  // it, so compare it directly.
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  auto jobs = wide_workload(1'000, 6, 0.0, 79);
+  for (std::size_t i = 0; i < jobs.size(); i += 5) {
+    jobs[i].predicted = core::Rpv({1.0, 1e9, 1.0, 1.0});
+  }
+  const auto model = FaultModel::uniform(2000.0, 300.0, 0.05, {}, 83);
+  const auto trace = model.generate(machines, 40'000.0);
+  for (const int depth : {0, 3}) {
+    SchedulerOptions options;
+    options.backfill_depth = depth;
+    GuardedModelBasedAssigner calendar_assigner;
+    GuardedModelBasedAssigner reference_assigner;
+    options.engine = SimEngineKind::kCalendar;
+    const auto calendar = simulate(jobs, machines, calendar_assigner, trace, options);
+    options.engine = SimEngineKind::kReference;
+    const auto reference = simulate(jobs, machines, reference_assigner, trace, options);
+    expect_results_identical(calendar, reference);
+    EXPECT_GT(reference_assigner.fallbacks(), 0);
+    EXPECT_EQ(calendar_assigner.fallbacks(), reference_assigner.fallbacks());
+  }
+}
+
+TEST(EngineGolden, StaggeredArrivalsIdenticalForStatefulAssigners) {
+  // Jobs submitted over time join the queue between passes, so each pass
+  // starts from a different queue prefix.
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  const auto jobs = wide_workload(1'200, 6, 1'500.0, 89);
+  for (const int depth : {0, 3}) {
+    SchedulerOptions options;
+    options.backfill_depth = depth;
+    expect_engines_identical(jobs, machines, FaultTrace::none(), options,
+                             [] { return RandomAssigner(97); });
+    expect_engines_identical(jobs, machines, FaultTrace::none(), options,
+                             [] { return UserRoundRobinAssigner(); });
+  }
+}
+
 // -------------------------------------------------- checkpoint planners ----
 
 /// Hands every attempt the same policy.

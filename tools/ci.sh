@@ -337,7 +337,9 @@ if [[ "${fast}" -eq 0 ]]; then
   # orderings the paper reports on their JSON lines. Only orderings with
   # clear margins are asserted; per-cell Fig. 3 orderings are not (some
   # cells tie within 1e-4 MAE), nor is Model-based against Random in
-  # Fig. 7/8 (they tie within 0.1%).
+  # Fig. 7/8 (they tie within 0.1%). The Fig. 7/8 schedule is deterministic,
+  # so its makespans and slowdowns must also equal the tracked
+  # results/bench_fig7_8_scheduling.txt exactly.
   echo "==== [dev] paper claims (Fig. 2, 3, 6, 7/8) ===="
   ./build-dev/bench/bench_fig2_model_comparison > build-dev/paper_fig2.txt
   ./build-dev/bench/bench_fig3_arch_ablation > build-dev/paper_fig3.txt
@@ -369,12 +371,24 @@ fig78 = json_line(sys.argv[4])
 makespan = {s["strategy"]: s["makespan_s"] for s in fig78["strategies"]}
 assert makespan["Model-based"] < makespan["Round-Robin"], \
     f"Fig. 7/8: Model-based makespan not below Round-Robin's: {makespan}"
+# The schedule itself must not move: every strategy's makespan and
+# bounded slowdown equal the tracked output exactly (sim_seconds is timing).
+tracked = {s["strategy"]: s
+           for s in json_line("results/bench_fig7_8_scheduling.txt")["strategies"]}
+for s in fig78["strategies"]:
+    for key in ("makespan_s", "avg_bounded_slowdown"):
+        want = tracked[s["strategy"]][key]
+        assert s[key] == want, \
+            f"Fig. 7/8: {s['strategy']} {key} is {s[key]!r}, tracked {want!r}"
+assert tracked.keys() == makespan.keys(), \
+    f"Fig. 7/8: strategies {sorted(makespan)} differ from tracked {sorted(tracked)}"
 print(f"paper claims: ok (Fig. 2 xgboost MAE {mae['xgboost']:.4f} lowest; "
       f"Fig. 3 xgboost GPU/CPU-sourced MAE {gpu / cpu:.2f}x; "
       f"Fig. 6 top two {ranked[0]['feature']} {ranked[0]['importance']:.3f}, "
       f"{ranked[1]['feature']} {ranked[1]['importance']:.3f}; "
       f"Fig. 7/8 Model-based {makespan['Model-based']:.0f} s < "
-      f"Round-Robin {makespan['Round-Robin']:.0f} s)")
+      f"Round-Robin {makespan['Round-Robin']:.0f} s, "
+      f"all {len(tracked)} strategies equal to the tracked output)")
 EOF
 
   # perfbench is its own top-level CMake project over src/ and tools/
