@@ -20,7 +20,7 @@ class ContractViolation : public std::logic_error {
   explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Thrown on malformed external input (CSV files, serialized models, ...).
+/// Thrown on malformed external input (protocol lines, model stores, ...).
 class ParseError : public std::runtime_error {
  public:
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}

@@ -1,4 +1,4 @@
-// Small string utilities used by CSV I/O, serialization, and reporting.
+// Small string utilities used by CSV export, serialization, and reporting.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/contract.hpp"
+#include "common/strings.hpp"
 
 namespace mphpc::core {
 
@@ -31,42 +32,60 @@ std::vector<std::string> Dataset::time_column_names() {
   return names;
 }
 
-namespace {
-
-ml::Matrix extract(const data::Table& table, const std::vector<std::string>& cols,
-                   std::span<const std::size_t> rows) {
-  if (rows.empty()) {
-    return {table.num_rows(), cols.size(), table.to_row_major(cols)};
-  }
-  const data::Table subset = table.select_rows(rows);
-  return {subset.num_rows(), cols.size(), subset.to_row_major(cols)};
-}
-
-}  // namespace
-
 ml::Matrix Dataset::features(std::span<const std::size_t> rows) const {
-  return extract(table_, feature_column_names(), rows);
+  return rows.empty() ? features_ : features_.select_rows(rows);
 }
 
 ml::Matrix Dataset::targets(std::span<const std::size_t> rows) const {
-  return extract(table_, target_column_names(), rows);
+  return rows.empty() ? targets_ : targets_.select_rows(rows);
 }
 
 double Dataset::time_on(std::size_t row, arch::SystemId system) const {
   MPHPC_EXPECTS(row < num_rows());
-  return table_.numeric(time_column_names()[static_cast<std::size_t>(system)])[row];
+  return times_(row, static_cast<std::size_t>(system));
 }
 
 Rpv Dataset::true_rpv(std::size_t row) const {
   MPHPC_EXPECTS(row < num_rows());
   SystemTimes times{};
-  const auto names = time_column_names();
-  for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
-    times[k] = table_.numeric(names[k])[row];
-  }
-  const auto source = arch::parse_system(systems()[row]);
+  for (std::size_t k = 0; k < arch::kNumSystems; ++k) times[k] = times_(row, k);
+  const auto source = arch::parse_system(system_[row]);
   MPHPC_EXPECTS(source.has_value());
   return Rpv::relative_to(times, *source);
+}
+
+std::string Dataset::to_csv() const {
+  std::string out = "app,input,system,scale,time_s";
+  const auto header = [&out](const std::vector<std::string>& names) {
+    for (const auto& name : names) out += ',' + name;
+  };
+  header(feature_column_names());
+  header(target_column_names());
+  header(time_column_names());
+  out += '\n';
+
+  // Labels come from the fixed app, system and scale vocabularies, none of
+  // which needs CSV quoting.
+  const auto label = [&out](const std::string& text) {
+    MPHPC_ASSERT(text.find_first_of(",\"\n\r") == std::string::npos);
+    out += text;
+  };
+  const auto numbers = [&out](std::span<const double> values) {
+    for (const double v : values) out += ',' + format_double(v);
+  };
+  for (std::size_t r = 0; r < num_rows(); ++r) {
+    label(app_[r]);
+    out += ',' + format_double(static_cast<double>(input_[r])) + ',';
+    label(system_[r]);
+    out += ',';
+    label(scale_[r]);
+    out += ',' + format_double(time_s_[r]);
+    numbers(features_.row(r));
+    numbers(targets_.row(r));
+    numbers(times_.row(r));
+    out += '\n';
+  }
+  return out;
 }
 
 Dataset build_dataset(std::span<const sim::RunProfile> profiles) {
@@ -99,28 +118,18 @@ Dataset build_dataset(std::span<const sim::RunProfile> profiles) {
   // Raw features for every profile, then fit the standardizers over all
   // rows (paper §V-D: normalization statistics come from the full corpus).
   constexpr std::size_t kF = FeaturePipeline::kNumFeatures;
-  std::vector<double> raw(profiles.size() * kF);
-  for (std::size_t r = 0; r < profiles.size(); ++r) {
-    const auto f = FeaturePipeline::raw_features(profiles[r]);
-    std::copy(f.begin(), f.end(), raw.begin() + static_cast<std::ptrdiff_t>(r * kF));
-  }
+  const std::size_t n = profiles.size();
   Dataset dataset;
-  dataset.pipeline_.fit(raw, profiles.size());
+  dataset.features_ = ml::Matrix(n, kF);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto f = FeaturePipeline::raw_features(profiles[r]);
+    std::copy(f.begin(), f.end(), dataset.features_.row(r).begin());
+  }
+  dataset.pipeline_.fit(dataset.features_.flat(), n);
 
-  // Assemble the table.
-  data::Table& t = dataset.table_;
-  t.add_text_column("app");
-  t.add_numeric_column("input");
-  t.add_text_column("system");
-  t.add_text_column("scale");
-  t.add_numeric_column("time_s");
-  for (const auto& name : Dataset::feature_column_names()) t.add_numeric_column(name);
-  for (const auto& name : Dataset::target_column_names()) t.add_numeric_column(name);
-  for (const auto& name : Dataset::time_column_names()) t.add_numeric_column(name);
-
-  std::vector<double> numbers;
-  std::vector<std::string> strings;
-  for (std::size_t r = 0; r < profiles.size(); ++r) {
+  dataset.targets_ = ml::Matrix(n, arch::kNumSystems);
+  dataset.times_ = ml::Matrix(n, arch::kNumSystems);
+  for (std::size_t r = 0; r < n; ++r) {
     const auto& p = profiles[r];
     const auto& g = groups[{p.app, p.input_index}];
     const auto scale_idx = static_cast<std::size_t>(p.config.scale_class);
@@ -129,22 +138,21 @@ Dataset build_dataset(std::span<const sim::RunProfile> profiles) {
     for (std::size_t s = 0; s < arch::kNumSystems; ++s) times[s] = g.time[s][scale_idx];
     const Rpv rpv = Rpv::relative_to(times, p.system);
 
+    const auto row = dataset.features_.row(r);
     FeaturePipeline::FeatureVector f{};
-    std::copy(raw.begin() + static_cast<std::ptrdiff_t>(r * kF),
-              raw.begin() + static_cast<std::ptrdiff_t>((r + 1) * kF), f.begin());
+    std::copy(row.begin(), row.end(), f.begin());
     dataset.pipeline_.transform(f);
+    std::copy(f.begin(), f.end(), row.begin());
 
-    numbers.clear();
-    strings.clear();
-    strings.emplace_back(p.app);
-    numbers.push_back(static_cast<double>(p.input_index));
-    strings.emplace_back(arch::to_string(p.system));
-    strings.emplace_back(workload::to_string(p.config.scale_class));
-    numbers.push_back(p.time_s);
-    for (const double v : f) numbers.push_back(v);
-    for (std::size_t k = 0; k < arch::kNumSystems; ++k) numbers.push_back(rpv[k]);
-    for (std::size_t k = 0; k < arch::kNumSystems; ++k) numbers.push_back(times[k]);
-    t.append_row(numbers, strings);
+    dataset.app_.push_back(p.app);
+    dataset.input_.push_back(p.input_index);
+    dataset.system_.emplace_back(arch::to_string(p.system));
+    dataset.scale_.emplace_back(workload::to_string(p.config.scale_class));
+    dataset.time_s_.push_back(p.time_s);
+    for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
+      dataset.targets_(r, k) = rpv[k];
+      dataset.times_(r, k) = times[k];
+    }
   }
   return dataset;
 }

@@ -14,7 +14,6 @@
 
 #include "core/feature_pipeline.hpp"
 #include "core/rpv.hpp"
-#include "data/table.hpp"
 #include "ml/matrix.hpp"
 #include "sim/profiler.hpp"
 
@@ -22,6 +21,11 @@ namespace mphpc::core {
 
 class Dataset {
  public:
+  /// CSV columns: app, input, system, scale, time_s, the features, the
+  /// targets and the observed times (34).
+  static constexpr std::size_t kNumColumns =
+      5 + FeaturePipeline::kNumFeatures + 2 * arch::kNumSystems;
+
   /// Feature column names, canonical order (21 columns).
   [[nodiscard]] static std::vector<std::string> feature_column_names();
   /// Target column names: "rpv_quartz" ... "rpv_corona".
@@ -29,9 +33,8 @@ class Dataset {
   /// Observed-time column names: "time_quartz" ... "time_corona".
   [[nodiscard]] static std::vector<std::string> time_column_names();
 
-  [[nodiscard]] const data::Table& table() const noexcept { return table_; }
   [[nodiscard]] const FeaturePipeline& pipeline() const noexcept { return pipeline_; }
-  [[nodiscard]] std::size_t num_rows() const noexcept { return table_.num_rows(); }
+  [[nodiscard]] std::size_t num_rows() const noexcept { return app_.size(); }
 
   /// Feature matrix (rows x 21). Empty `rows` selects every row.
   [[nodiscard]] ml::Matrix features(std::span<const std::size_t> rows = {}) const;
@@ -40,14 +43,12 @@ class Dataset {
   [[nodiscard]] ml::Matrix targets(std::span<const std::size_t> rows = {}) const;
 
   /// Metadata columns for grouped splits.
-  [[nodiscard]] const std::vector<std::string>& apps() const {
-    return table_.text("app");
+  [[nodiscard]] const std::vector<std::string>& apps() const noexcept { return app_; }
+  [[nodiscard]] const std::vector<std::string>& systems() const noexcept {
+    return system_;
   }
-  [[nodiscard]] const std::vector<std::string>& systems() const {
-    return table_.text("system");
-  }
-  [[nodiscard]] const std::vector<std::string>& scales() const {
-    return table_.text("scale");
+  [[nodiscard]] const std::vector<std::string>& scales() const noexcept {
+    return scale_;
   }
 
   /// Observed execution time of row `r`'s job on `system` (same scale
@@ -58,10 +59,20 @@ class Dataset {
   /// system).
   [[nodiscard]] Rpv true_rpv(std::size_t row) const;
 
+  /// The dataset as CSV: a header, then one line per row with the columns
+  /// app, input, system, scale, time_s, the features, rpv_* and time_*.
+  /// Numbers are written with enough digits to round-trip exactly.
+  [[nodiscard]] std::string to_csv() const;
+
   friend Dataset build_dataset(std::span<const sim::RunProfile> profiles);
 
  private:
-  data::Table table_;
+  std::vector<std::string> app_, system_, scale_;
+  std::vector<int> input_;
+  std::vector<double> time_s_;
+  ml::Matrix features_;  // rows x 21, standardized
+  ml::Matrix targets_;   // rows x 4, RPV relative to the row's system
+  ml::Matrix times_;     // rows x 4, observed time per system
   FeaturePipeline pipeline_;
 };
 

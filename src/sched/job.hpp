@@ -3,7 +3,7 @@
 // its observed runtime on every system and the model's predicted RPV.
 #pragma once
 
-#include <string>
+#include <cstddef>
 
 #include "core/rpv.hpp"
 
@@ -11,7 +11,7 @@ namespace mphpc::sched {
 
 struct Job {
   int id = 0;
-  std::string app;
+  std::size_t row = 0;       ///< dataset row the job was drawn from
   bool gpu_capable = false;  ///< app has a GPU code path (drives User+RR)
   int nodes_required = 1;    ///< whole-node allocation (1 or 2 in the study)
   double submit_s = 0.0;     ///< submission time (0 = batch submit, the paper)

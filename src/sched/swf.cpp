@@ -12,6 +12,7 @@
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "core/rpv.hpp"
+#include "sched/workload_gen.hpp"
 
 namespace mphpc::sched {
 
@@ -121,7 +122,7 @@ std::vector<Job> jobs_from_swf(const SwfTrace& trace, const core::Dataset& datas
   MPHPC_EXPECTS(options.max_nodes >= 1);
 
   const auto traced = static_cast<std::size_t>(options.traced_system);
-  const auto& app_names = dataset.apps();
+  const std::vector<JobTemplate> templates = job_templates(dataset, apps);
   SwfMapStats tally;
   Rng rng(derive_seed(options.seed, "swf-rows"));
   std::vector<Job> jobs;
@@ -142,23 +143,22 @@ std::vector<Job> jobs_from_swf(const SwfTrace& trace, const core::Dataset& datas
         options.max_nodes,
         (procs + options.procs_per_node - 1) / options.procs_per_node);
 
-    const std::size_t row = rng.below(dataset.num_rows());
+    const std::size_t row = rng.below(templates.size());
+    const JobTemplate& t = templates[row];
     Job job;
     job.id = static_cast<int>(jobs.size());
-    job.app = app_names[row];
-    job.gpu_capable = apps.get(job.app).gpu_support;
+    job.row = row;
+    job.gpu_capable = t.gpu_capable;
     job.nodes_required = nodes;
     job.submit_s = sj.submit_s > 0.0 ? sj.submit_s : 0.0;
     // Rescale the row's four runtimes so the traced system's runtime is
     // exactly run_s: cross-system ratios — the row's RPV — are preserved,
     // only the absolute scale is taken from the trace.
-    const double base = dataset.time_on(row, options.traced_system);
+    const double base = t.runtime[traced];
     MPHPC_ASSERT(base > 0.0);
     const double scale = sj.run_s / base;
     for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
-      job.runtime[k] =
-          k == traced ? sj.run_s
-                      : dataset.time_on(row, static_cast<arch::SystemId>(k)) * scale;
+      job.runtime[k] = k == traced ? sj.run_s : t.runtime[k] * scale;
     }
     job.predicted = core::Rpv::relative_to(job.runtime, arch::SystemId::kQuartz);
     jobs.push_back(std::move(job));

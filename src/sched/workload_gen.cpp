@@ -10,6 +10,22 @@
 
 namespace mphpc::sched {
 
+std::vector<JobTemplate> job_templates(const core::Dataset& dataset,
+                                       const workload::AppCatalog& apps) {
+  const auto& app_names = dataset.apps();
+  const auto& scale_names = dataset.scales();
+  std::vector<JobTemplate> templates(dataset.num_rows());
+  for (std::size_t row = 0; row < templates.size(); ++row) {
+    JobTemplate& t = templates[row];
+    t.gpu_capable = apps.get(app_names[row]).gpu_support;
+    t.nodes_required = scale_names[row] == "2node" ? 2 : 1;
+    for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
+      t.runtime[k] = dataset.time_on(row, static_cast<arch::SystemId>(k));
+    }
+  }
+  return templates;
+}
+
 void stream_jobs(const core::Dataset& dataset, const RowRpv& predicted,
                  const workload::AppCatalog& apps, const WorkloadOptions& options,
                  const std::function<void(Job&&)>& sink) {
@@ -19,8 +35,7 @@ void stream_jobs(const core::Dataset& dataset, const RowRpv& predicted,
                 static_cast<std::size_t>(std::numeric_limits<int>::max()));
 
   const std::size_t rows = dataset.num_rows();
-  const auto& app_names = dataset.apps();
-  const auto& scale_names = dataset.scales();
+  const std::vector<JobTemplate> templates = job_templates(dataset, apps);
 
   // Lazy per-row memo: a trace samples the same few hundred rows over and
   // over, so the predictor runs once per *row*, never once per job.
@@ -38,14 +53,13 @@ void stream_jobs(const core::Dataset& dataset, const RowRpv& predicted,
       row_rpv[row] = predicted(row);
       row_done[row] = 1;
     }
+    const JobTemplate& t = templates[row];
     Job job;
     job.id = static_cast<int>(j);
-    job.app = app_names[row];
-    job.gpu_capable = apps.get(job.app).gpu_support;
-    job.nodes_required = scale_names[row] == "2node" ? 2 : 1;
-    for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
-      job.runtime[k] = dataset.time_on(row, static_cast<arch::SystemId>(k));
-    }
+    job.row = row;
+    job.gpu_capable = t.gpu_capable;
+    job.nodes_required = t.nodes_required;
+    job.runtime = t.runtime;
     job.predicted = row_rpv[row];
     if (options.arrival_rate_per_s > 0.0) {
       submit += exponential(arrivals, options.arrival_rate_per_s);

@@ -26,6 +26,19 @@
 
 namespace mphpc::sched {
 
+/// What every job drawn from one dataset row shares: the app's GPU
+/// support, the row's node count and its observed per-system runtimes.
+struct JobTemplate {
+  bool gpu_capable = false;
+  int nodes_required = 1;
+  core::SystemTimes runtime{};
+};
+
+/// One template per dataset row, built once per sampling call and shared
+/// by stream_jobs, sample_jobs and jobs_from_swf.
+[[nodiscard]] std::vector<JobTemplate> job_templates(
+    const core::Dataset& dataset, const workload::AppCatalog& apps);
+
 /// Parameters of a streamed workload.
 struct WorkloadOptions {
   std::size_t count = 0;

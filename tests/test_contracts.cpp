@@ -25,7 +25,6 @@
 #include "common/contract.hpp"
 #include "common/thread_pool.hpp"
 #include "data/split.hpp"
-#include "data/table.hpp"
 #include "ml/gbt.hpp"
 #include "ml/matrix.hpp"
 #include "ml/random_forest.hpp"
@@ -111,12 +110,6 @@ TEST_F(ContractDeathTest, TrainTestSplitRejectsZeroFraction) {
 
 TEST_F(ContractDeathTest, KFoldRejectsMoreFoldsThanRows) {
   MPHPC_EXPECT_CONTRACT_DEATH((void)data::k_fold(3, 4, 1), "precondition");
-}
-
-TEST_F(ContractDeathTest, TableRejectsRaggedColumn) {
-  data::Table t;
-  t.add_numeric_column("a", {1.0, 2.0});
-  MPHPC_EXPECT_CONTRACT_DEATH(t.add_numeric_column("b", {1.0}), "precondition");
 }
 
 // --------------------------------------------------------------- sched ----

@@ -13,6 +13,8 @@
 
 #include "arch/system_catalog.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "core/dataset.hpp"
 #include "ml/mean_regressor.hpp"
 #include "core/feature_pipeline.hpp"
@@ -231,16 +233,36 @@ TEST_F(DatasetTest, RowCountMatchesCampaign) {
 }
 
 TEST_F(DatasetTest, HasAllColumns) {
-  const auto& table = dataset().table();
-  for (const auto& name : Dataset::feature_column_names()) {
-    EXPECT_TRUE(table.has_column(name)) << name;
+  const std::string csv = dataset().to_csv();
+  const std::string header = csv.substr(0, csv.find('\n'));
+  std::vector<std::string> expected = {"app", "input", "system", "scale", "time_s"};
+  for (const auto& names : {Dataset::feature_column_names(),
+                            Dataset::target_column_names(),
+                            Dataset::time_column_names()}) {
+    expected.insert(expected.end(), names.begin(), names.end());
   }
-  for (const auto& name : Dataset::target_column_names()) {
-    EXPECT_TRUE(table.has_column(name)) << name;
-  }
-  for (const auto& name : Dataset::time_column_names()) {
-    EXPECT_TRUE(table.has_column(name)) << name;
-  }
+  ASSERT_EQ(expected.size(), Dataset::kNumColumns);
+  EXPECT_EQ(expected.size(), 34u);
+  EXPECT_EQ(split(header, ','), expected);
+  EXPECT_EQ(expected[5], "branch_intensity");
+  EXPECT_EQ(expected[26], "rpv_quartz");
+  EXPECT_EQ(expected[33], "time_corona");
+}
+
+TEST(DatasetDigest, CliTwoInputCsvBytesPinned) {
+  // The bytes `mphpc dataset --inputs 2` writes (480 rows, the CLI's
+  // campaign options), pinned by an FNV-1a digest. A change to any label,
+  // feature, target or time cell, or to the number format, moves it; the
+  // constant is never edited to follow such a change.
+  const workload::AppCatalog apps;
+  const arch::SystemCatalog systems;
+  sim::CampaignOptions options;
+  options.inputs_per_app = 2;
+  const Dataset ds =
+      build_dataset(sim::run_campaign(apps, systems, options, &ThreadPool::shared()));
+  ASSERT_EQ(ds.num_rows(), 480u);
+  const std::string csv = ds.to_csv();
+  EXPECT_EQ(format_hex64(fnv1a_64(csv)), "3c7f03ba0ff4161c");
 }
 
 TEST_F(DatasetTest, SourceSystemTargetIsOne) {

@@ -28,7 +28,6 @@
 #include "core/importance.hpp"
 #include "core/model_selection.hpp"
 #include "core/predictor.hpp"
-#include "data/csv.hpp"
 #include "ml/mean_regressor.hpp"
 #include "ml/metrics.hpp"
 #include "data/split.hpp"
@@ -149,16 +148,6 @@ TEST_F(EndToEnd, SchedulingModelBasedBeatsRandomAndRoundRobin) {
   EXPECT_LT(r_model.makespan_s, r_random.makespan_s);
   EXPECT_LT(r_model.makespan_s, r_rr.makespan_s);
   EXPECT_LE(r_model.avg_bounded_slowdown, r_random.avg_bounded_slowdown);
-}
-
-TEST_F(EndToEnd, DatasetCsvRoundTrips) {
-  const auto& s = state();
-  const std::string path = ::testing::TempDir() + "/mphpc_dataset.csv";
-  data::write_csv_file(s.dataset.table(), path);
-  const data::Table restored = data::read_csv_file(path);
-  EXPECT_EQ(restored.num_rows(), s.dataset.num_rows());
-  EXPECT_EQ(restored.column_names(), s.dataset.table().column_names());
-  EXPECT_EQ(restored.numeric("rpv_quartz"), s.dataset.table().numeric("rpv_quartz"));
 }
 
 TEST_F(EndToEnd, CountersFromCpuSourcesPredictNoWorseThanGpu) {

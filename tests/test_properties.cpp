@@ -4,13 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "arch/system_catalog.hpp"
-#include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "core/rpv.hpp"
-#include "data/csv.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
 #include "ml/hist_common.hpp"
@@ -126,36 +123,6 @@ TEST_P(MetricProperty, SosInvariantUnderMonotoneTransform) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty, ::testing::Values(7u, 8u, 9u));
 
-// ------------------------------------------------- CSV round-trip fuzz ----
-
-class CsvRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CsvRoundTrip, RandomTablesSurvive) {
-  Rng rng(GetParam());
-  data::Table t;
-  const std::size_t rows = 1 + rng.below(40);
-  std::vector<std::string> texts;
-  const char* samples[] = {"plain", "with,comma", "with\"quote", "", "sp ace",
-                           "semi;colon"};
-  for (std::size_t r = 0; r < rows; ++r) {
-    texts.push_back(std::string(samples[rng.below(6)]) + std::to_string(r));
-  }
-  std::vector<double> nums;
-  for (std::size_t r = 0; r < rows; ++r) nums.push_back(normal(rng, 0.0, 1e6));
-  t.add_text_column("label", texts);
-  t.add_numeric_column("value", nums);
-
-  std::ostringstream out;
-  data::write_csv(t, out);
-  std::istringstream in(out.str());
-  const data::Table r = data::read_csv(in, {"label"});
-  EXPECT_EQ(r.text("label"), t.text("label"));
-  EXPECT_EQ(r.numeric("value"), t.numeric("value"));  // exact round-trip
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CsvRoundTrip,
-                         ::testing::Values(21u, 22u, 23u, 24u, 25u, 26u));
-
 // -------------------------------------------- perf model monotonicity ----
 
 class PerfModelPerApp : public ::testing::TestWithParam<int> {};
@@ -205,7 +172,6 @@ TEST_P(SchedulerProperty, ConservationAndCapacity) {
   for (int i = 0; i < n; ++i) {
     sched::Job job;
     job.id = i;
-    job.app = "App" + std::to_string(i % 7);
     job.gpu_capable = rng.bernoulli(0.5);
     job.nodes_required = rng.bernoulli(0.3) ? 2 : 1;
     for (double& t : job.runtime) t = rng.uniform(1.0, 30.0);

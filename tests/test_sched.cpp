@@ -27,7 +27,6 @@ Job make_job(int id, double q, double r, double l, double c, int nodes = 1,
              bool gpu = false) {
   Job job;
   job.id = id;
-  job.app = "TestApp";
   job.gpu_capable = gpu;
   job.nodes_required = nodes;
   job.runtime = {q, r, l, c};
@@ -1140,10 +1139,12 @@ TEST(EngineGolden, AllAssignersIdenticalUnderFaultsAndCheckpoints) {
 }
 
 TEST(EngineGolden, BoundedDepthIdenticalForStatefulAssigners) {
-  // With a stateful assigner both engines take the full-scan backfill
-  // path, so a bounded depth must count candidates identically.
-  // (Stateless assigners use the indexed path, whose depth accounting
-  // intentionally differs — see SchedulerOptions::backfill_depth.)
+  // Every assigner takes the one indexed backfill pass. For a stateful
+  // assigner (state_keys() > 0) that pass stops at the depth-th job after
+  // the head, where the reference engine's rescan stops, so a bounded
+  // depth must give identical results. (A stateless assigner counts only
+  // the candidates it visits, which intentionally differs — see
+  // SchedulerOptions::backfill_depth.)
   const auto machines = tiny_cluster();
   const auto jobs = random_workload(800, 29);
   const auto model = FaultModel::uniform(3000.0, 500.0, 0.08, {}, 41);
@@ -1160,8 +1161,9 @@ TEST(EngineGolden, BoundedDepthIdenticalForStatefulAssigners) {
 
 TEST(EngineGolden, GuardedFallbackPathIdentical) {
   // Implausible predictions force GuardedModelBasedAssigner off its pure
-  // path (stateless_assign() false after prime), so the calendar engine
-  // must fall back to the legacy full-scan backfill and still match.
+  // path: after prime() its state_keys() is the User+RR fallback's, so the
+  // indexed pass keys those jobs by fallback state and counts a bounded
+  // depth the stateful way. The calendar engine must still match.
   const auto machines = tiny_cluster(3, 3, 3, 3);
   auto jobs = random_workload(800, 5);
   for (std::size_t i = 0; i < jobs.size(); i += 7) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "arch/system_catalog.hpp"
+#include "common/strings.hpp"
 #include "core/dataset.hpp"
 #include "ml/matrix.hpp"
 #include "sched/swf.hpp"
@@ -167,7 +169,9 @@ TEST_F(SwfMapping, MapsRuntimeNodesAndSubmitOntoJobs) {
               run_s[j]);
     EXPECT_EQ(jobs[j].nodes_required, nodes[j]);
     EXPECT_EQ(jobs[j].submit_s, submit[j]);
-    EXPECT_EQ(jobs[j].gpu_capable, s.apps.get(jobs[j].app).gpu_support);
+    ASSERT_LT(jobs[j].row, s.dataset.num_rows());
+    EXPECT_EQ(jobs[j].gpu_capable,
+              s.apps.get(s.dataset.apps()[jobs[j].row]).gpu_support);
     const auto expected =
         core::Rpv::relative_to(jobs[j].runtime, SystemId::kQuartz);
     EXPECT_EQ(jobs[j].predicted.values(), expected.values());
@@ -179,28 +183,24 @@ TEST_F(SwfMapping, MapsRuntimeNodesAndSubmitOntoJobs) {
 }
 
 TEST_F(SwfMapping, PreservesDatasetRowRpvUpToRescaling) {
-  // Each mapped job borrows a dataset row's cross-architecture shape: its
-  // runtime vector must be a positive scalar multiple of some row's times.
+  // Each mapped job borrows its dataset row's cross-architecture shape:
+  // its runtime vector is a positive scalar multiple of that row's times.
   const auto& s = state();
   const auto trace = parse(swf_line(1, 0.0, 500.0, 36));
   const auto jobs = jobs_from_swf(trace, s.dataset, s.apps, {});
   ASSERT_EQ(jobs.size(), 1u);
   const auto& job = jobs[0];
-  bool matched = false;
-  for (std::size_t row = 0; row < s.dataset.num_rows() && !matched; ++row) {
-    if (s.dataset.apps()[row] != job.app) continue;
-    const double scale =
-        job.runtime[0] / s.dataset.time_on(row, SystemId::kQuartz);
-    bool all = true;
-    for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
-      const double want =
-          s.dataset.time_on(row, static_cast<SystemId>(k)) * scale;
-      all = all && std::abs(job.runtime[k] - want) <=
-                       1e-12 * std::max(job.runtime[k], want);
-    }
-    matched = matched || all;
+  ASSERT_LT(job.row, s.dataset.num_rows());
+  const double scale =
+      job.runtime[0] / s.dataset.time_on(job.row, SystemId::kQuartz);
+  EXPECT_GT(scale, 0.0);
+  for (std::size_t k = 0; k < arch::kNumSystems; ++k) {
+    const double want =
+        s.dataset.time_on(job.row, static_cast<SystemId>(k)) * scale;
+    EXPECT_LE(std::abs(job.runtime[k] - want),
+              1e-12 * std::max(job.runtime[k], want))
+        << "system " << k;
   }
-  EXPECT_TRUE(matched) << "job runtimes match no dataset row up to scale";
 }
 
 TEST_F(SwfMapping, SkipsUnusableJobsAndTallies) {
@@ -231,7 +231,7 @@ TEST_F(SwfMapping, MappingIsDeterministicPerSeed) {
   const auto b = jobs_from_swf(trace, s.dataset, s.apps, options);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t j = 0; j < a.size(); ++j) {
-    EXPECT_EQ(a[j].app, b[j].app);
+    EXPECT_EQ(a[j].row, b[j].row);
     EXPECT_EQ(a[j].runtime, b[j].runtime);
     EXPECT_EQ(a[j].predicted.values(), b[j].predicted.values());
   }
@@ -275,7 +275,7 @@ TEST_F(SwfMapping, StreamJobsMatchesSampleJobsBitwise) {
   ASSERT_EQ(streamed.size(), sampled.size());
   for (std::size_t j = 0; j < sampled.size(); ++j) {
     EXPECT_EQ(streamed[j].id, sampled[j].id);
-    EXPECT_EQ(streamed[j].app, sampled[j].app);
+    EXPECT_EQ(streamed[j].row, sampled[j].row);
     EXPECT_EQ(streamed[j].gpu_capable, sampled[j].gpu_capable);
     EXPECT_EQ(streamed[j].nodes_required, sampled[j].nodes_required);
     EXPECT_EQ(streamed[j].runtime, sampled[j].runtime);
@@ -286,7 +286,7 @@ TEST_F(SwfMapping, StreamJobsMatchesSampleJobsBitwise) {
 
 TEST_F(SwfMapping, ArrivalRateSpreadsSubmitsWithoutPerturbingRows) {
   // Arrivals draw from an independent derived stream: turning them on
-  // must keep the sampled rows (app, runtimes, predictions) identical and
+  // must keep the sampled rows (row, runtimes, predictions) identical and
   // only add strictly increasing submit times.
   const auto& s = state();
   const auto predicted = [](std::size_t) { return core::Rpv({1, 1, 1, 1}); };
@@ -307,12 +307,49 @@ TEST_F(SwfMapping, ArrivalRateSpreadsSubmitsWithoutPerturbingRows) {
   ASSERT_EQ(batch.size(), trickle.size());
   double last_submit = 0.0;
   for (std::size_t j = 0; j < batch.size(); ++j) {
-    EXPECT_EQ(batch[j].app, trickle[j].app);
+    EXPECT_EQ(batch[j].row, trickle[j].row);
     EXPECT_EQ(batch[j].runtime, trickle[j].runtime);
     EXPECT_EQ(batch[j].submit_s, 0.0);
     EXPECT_GT(trickle[j].submit_s, last_submit);
     last_submit = trickle[j].submit_s;
   }
+}
+
+/// Every field a scheduler reads from a job, as raw bytes.
+std::string job_bytes(const std::vector<Job>& jobs) {
+  std::string bytes;
+  const auto put = [&bytes](const auto& v) {
+    char raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    bytes.append(raw, sizeof v);
+  };
+  for (const Job& job : jobs) {
+    put(job.id);
+    put(job.gpu_capable);
+    put(job.nodes_required);
+    put(job.submit_s);
+    for (const double t : job.runtime) put(t);
+    for (const double p : job.predicted.values()) put(p);
+  }
+  return bytes;
+}
+
+TEST_F(SwfMapping, SampledAndMappedJobsDigestsPinned) {
+  // FNV-1a digests of the jobs sample_jobs and jobs_from_swf draw from
+  // this dataset. They pin row sampling and each row's GPU flag, node
+  // count and runtimes; the constants are never edited to follow a change.
+  const auto& s = state();
+  const auto sampled =
+      sample_jobs(s.dataset, true_ratio_matrix(s.dataset), s.apps, 2000, 7);
+  EXPECT_EQ(format_hex64(fnv1a_64(job_bytes(sampled))), "f1392691ad9312d9");
+
+  std::string text;
+  for (int i = 0; i < 200; ++i) text += swf_line(i + 1, 10.0 * i, 60.0 + i, 1 + 3 * i);
+  SwfMapOptions options;
+  options.seed = 21;
+  const auto mapped = jobs_from_swf(parse(text), s.dataset, s.apps, options);
+  ASSERT_EQ(mapped.size(), 200u);
+  EXPECT_EQ(format_hex64(fnv1a_64(job_bytes(mapped))), "42ffb7e546589bb6");
 }
 
 TEST_F(SwfMapping, SampleJobsShapeMismatchThrowsWithBothShapes) {

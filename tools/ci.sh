@@ -118,8 +118,10 @@ EOF
 
 # Scheduler scale smoke: the calendar-queue engine must push a 100k-job
 # faulty simulation through end-to-end, the two independent node-second
-# tallies must agree, and the wall time is published for trend-watching
-# (the tracked 1M-job baseline lives in results/BENCH_sched.json).
+# tallies must agree, the seeded outcome fields must equal their recorded
+# values exactly (this pins job sampling and the fault trace), and the wall
+# time is published for trend-watching (the tracked 1M-job baseline lives
+# in results/BENCH_sched.json).
 echo "==== [dev] scheduler scale smoke (sched-scale, 100k jobs) ===="
 ./build-dev/tools/mphpc sched-scale \
   --jobs 100000 --inputs 2 --node-mtbf-h 50 --mttr-h 1 --kill-prob 0.02 \
@@ -136,6 +138,17 @@ assert abs(committed - outcomes) <= 1e-6 * max(committed, 1.0), \
     f"node-seconds not reconciled: engine {committed} vs outcomes {outcomes}"
 assert faulty["jobs_killed"] > 0 and faulty["total_retries"] > 0, \
     "faulty scale run exercised no kills/retries"
+expected = {
+    ("baseline", "makespan_h"): 3.305161958332314,
+    ("faulty", "makespan_h"): 3.3197039830417787,
+    ("faulty", "completed_jobs"): 100000,
+    ("faulty", "abandoned_jobs"): 0,
+    ("faulty", "jobs_killed"): 2229,
+    ("faulty", "total_retries"): 2229,
+}
+for (section, key), want in expected.items():
+    got = report[section][key]
+    assert got == want, f"sched-scale smoke {section}.{key}: {got!r} != recorded {want!r}"
 print(f"sched-scale smoke: ok (100k jobs, faulty wall {faulty['wall_s']:.2f} s)")
 EOF
 

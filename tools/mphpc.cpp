@@ -61,7 +61,6 @@
 #include "core/dataset.hpp"
 #include "core/model_selection.hpp"
 #include "core/predictor.hpp"
-#include "data/csv.hpp"
 #include "data/split.hpp"
 #include "ml/binning.hpp"
 #include "sched/easy_scheduler.hpp"
@@ -237,9 +236,10 @@ core::CrossArchPredictor train_predictor(const core::Dataset& dataset,
 int cmd_dataset(const Args& args) {
   const auto dataset = build_dataset(args);
   const std::string out = args.get("out", "mphpc_dataset.csv");
-  data::write_csv_file(dataset.table(), out);
+  // Atomic replace: an interrupted dump never leaves a truncated CSV.
+  atomic_write_text(out, dataset.to_csv());
   std::printf("wrote %zu rows x %zu columns to %s\n", dataset.num_rows(),
-              dataset.table().num_columns(), out.c_str());
+              core::Dataset::kNumColumns, out.c_str());
   return 0;
 }
 
