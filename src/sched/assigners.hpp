@@ -46,7 +46,7 @@ class MachineAssigner {
   virtual void prime(std::span<const Job> jobs) { (void)jobs; }
 
   // ---- What an assign() call touches -------------------------------
-  // The calendar engine's backfill pass does not call assign() on a
+  // The scheduler's indexed backfill pass does not call assign() on a
   // candidate wider than the free count of every machine reachable() says
   // the call could return: the call would be rejected anyway. Its side
   // effects are replayed instead. An assigner declares its per-call state

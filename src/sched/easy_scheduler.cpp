@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <list>
 #include <map>
-#include <queue>
-#include <tuple>
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
@@ -196,23 +192,22 @@ class FcfsQueue {
   std::uint64_t seq_counter_ = 0;
 };
 
-/// Everything the two engines share: construction contracts, the event
-/// loop skeleton, job start/completion/kill accounting, node-fault
-/// replay, and result finalization. The derived engine supplies only the
-/// event containers and the backfill scan, via CRTP hooks:
-///   init_queues, queue_push_back, queue_empty, push_release, push_kill,
-///   next_kill_time, next_release_time, process_kills, release_pending,
-///   schedule_pass.
-/// Keeping the accounting here (and branching on the *attempt's* policy,
-/// not on global options) is what makes the engines bit-identical — e.g.
+/// The event engine (Algorithm 1 with fault replay): calendar queues for
+/// releases and kills, the class-indexed FCFS queue, per-machine running
+/// ledgers, and the job start/completion/kill/node-fault accounting.
+/// Each scheduling pass backfills with one of two passes, chosen by
+/// SchedulerOptions::engine: the indexed pass, or the full rescan it is
+/// tested against (SimEngineKind::kReference). The passes differ only in
+/// which candidates they call assign() on, so they give identical results
+/// (bounded-depth stateless runs aside; see SchedulerOptions::backfill_depth).
+/// Accounting branches on the *attempt's* policy, not on global options:
 /// a disabled policy must credit (end - start) node-seconds, which is not
 /// bitwise equal to `work` after the now + work round trip.
-template <typename Derived>
-class EngineBase {
+class Engine {
  public:
-  EngineBase(const std::vector<Job>& jobs, const std::vector<Machine>& machines,
-             MachineAssigner& assigner, const FaultTrace& faults,
-             const SchedulerOptions& options)
+  Engine(const std::vector<Job>& jobs, const std::vector<Machine>& machines,
+         MachineAssigner& assigner, const FaultTrace& faults,
+         const SchedulerOptions& options)
       : jobs_(jobs),
         assigner_(assigner),
         faults_(faults),
@@ -220,6 +215,7 @@ class EngineBase {
         planner_(options.planner),
         depth_limit_(options.backfill_depth == 0 ? std::numeric_limits<int>::max()
                                                  : options.backfill_depth),
+        rescan_(options.engine == SimEngineKind::kReference),
         view_(machines, free_nodes_) {
     MPHPC_EXPECTS(!machines.empty());
     MPHPC_EXPECTS(options.backfill_depth >= 0);
@@ -255,17 +251,20 @@ class EngineBase {
     attempts_.assign(jobs_.size(), 0);
     saved_fraction_.assign(jobs_.size(), 0.0);
     running_ref_.resize(jobs_.size());
-    self().init_queues();
+    // Must run after prime(): GuardedModelBasedAssigner only knows its
+    // state keys once primed.
+    queue_.init(jobs_, assigner_);
+    stateful_ = assigner_.state_keys() > 0;
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       if (jobs_[i].submit_s <= 0.0) {
-        self().queue_push_back(i);
+        queue_.push_back(i);
       } else {
-        self().push_release(jobs_[i].submit_s, i);
+        push_release(jobs_[i].submit_s, i);
       }
     }
 
     double now = 0.0;
-    self().schedule_pass(now);
+    schedule_pass(now);
     while (finalized_ < jobs_.size()) {
       const double next = next_event_time();
       // Repairs are paired with failures, so capacity (and thus progress)
@@ -273,20 +272,21 @@ class EngineBase {
       MPHPC_ASSERT(next != kNoEvent);
       now = next;
       process_completions(now);
-      self().process_kills(now);
+      process_kills(now);
       process_node_events(now);
-      self().release_pending(now);
-      self().schedule_pass(now);
+      release_pending(now);
+      schedule_pass(now);
     }
-    MPHPC_ENSURES(self().queue_empty());
+    MPHPC_ENSURES(queue_.empty());
     finalize_result();
     return std::move(result_);
   }
 
- protected:
-  [[nodiscard]] Derived& self() noexcept { return static_cast<Derived&>(*this); }
-  [[nodiscard]] const Derived& self() const noexcept {
-    return static_cast<const Derived&>(*this);
+ private:
+  static constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
+
+  void push_release(double t, std::size_t i) {
+    pending_.push({t, kReleaseEvent, static_cast<std::uint64_t>(i), 0});
   }
 
   void start_job(std::size_t job_index, arch::SystemId m, double now) {
@@ -328,7 +328,9 @@ class EngineBase {
                           static_cast<std::uint64_t>(job.id),
                           static_cast<std::uint64_t>(attempt)));
       if (rng.bernoulli(faults_.kill_probability)) {
-        self().push_kill(now + rng.uniform() * duration, job_index, attempt);
+        kills_.push({now + rng.uniform() * duration, kKillEvent,
+                     static_cast<std::uint64_t>(job_index),
+                     static_cast<std::uint64_t>(attempt)});
       }
     }
     ++started_count_;
@@ -337,11 +339,11 @@ class EngineBase {
   [[nodiscard]] double next_event_time() const {
     double next = kNoEvent;
     for (const auto& s : state_) next = std::min(next, s.next_completion());
-    next = std::min(next, self().next_kill_time());
+    next = std::min(next, kills_.next_time());
     if (trace_pos_ < faults_.events.size()) {
       next = std::min(next, faults_.events[trace_pos_].time_s);
     }
-    next = std::min(next, self().next_release_time());
+    next = std::min(next, pending_.next_time());
     return next;
   }
 
@@ -412,7 +414,7 @@ class EngineBase {
                         static_cast<std::uint64_t>(jobs_[job_index].id),
                         static_cast<std::uint64_t>(attempts_[job_index])));
     const double delay = faults_.retry.delay_s(attempts_[job_index], rng.uniform());
-    self().push_release(t + delay, job_index);
+    push_release(t + delay, job_index);
     ++result_.total_retries;
   }
 
@@ -474,184 +476,6 @@ class EngineBase {
     MPHPC_ENSURES(result_.completed_jobs + result_.abandoned_jobs == jobs_.size());
   }
 
-  const std::vector<Job>& jobs_;
-  MachineAssigner& assigner_;
-  const FaultTrace& faults_;
-  const CheckpointPolicy checkpoint_;
-  CheckpointPlanner* const planner_;
-  const int depth_limit_;
-
-  std::array<MachineState, arch::kNumSystems> state_{};
-  std::array<int, arch::kNumSystems> free_nodes_{};
-  const ClusterView view_;
-
-  std::vector<int> attempts_;
-  /// Per-job fraction of total progress durably checkpointed across
-  /// killed attempts; the next attempt on machine m resumes with
-  /// runtime[m] * (1 - saved_fraction_) of work remaining (a fraction,
-  /// not seconds, so resuming on a different machine scales correctly).
-  std::vector<double> saved_fraction_;
-  std::vector<RunningRef> running_ref_;
-  std::size_t trace_pos_ = 0;
-  std::size_t started_count_ = 0;
-  std::size_t finalized_ = 0;
-  SimulationResult result_;
-};
-
-/// The original binary-heap + std::list engine, kept verbatim as the
-/// golden oracle for the calendar engine (SimEngineKind::kReference).
-/// Every queue operation and backfill visit matches the pre-calendar
-/// implementation exactly; equivalence tests pin the calendar engine's
-/// results to this one bit-for-bit.
-class ReferenceEngine final : public EngineBase<ReferenceEngine> {
-  friend class EngineBase<ReferenceEngine>;
-
- public:
-  using EngineBase<ReferenceEngine>::EngineBase;
-
- private:
-  void init_queues() {}
-  [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
-  void queue_push_back(std::size_t i) { queue_.push_back(i); }
-  void push_release(double t, std::size_t i) { pending_.emplace(t, i); }
-  void push_kill(double t, std::size_t i, int attempt) {
-    kills_.emplace(t, i, attempt);
-  }
-  [[nodiscard]] double next_kill_time() const {
-    return kills_.empty() ? kNoEvent : std::get<0>(kills_.top());
-  }
-  [[nodiscard]] double next_release_time() const {
-    return pending_.empty() ? kNoEvent : pending_.top().first;
-  }
-
-  void process_kills(double now) {
-    while (!kills_.empty() && std::get<0>(kills_.top()) <= now) {
-      const auto [t, job_index, attempt] = kills_.top();
-      kills_.pop();
-      // Stale entries: the attempt already completed, or was killed first
-      // by a node failure (possibly restarted since).
-      if (!running_ref_[job_index].active || attempts_[job_index] != attempt) continue;
-      kill_running_job(job_index, t);
-    }
-  }
-
-  void release_pending(double now) {
-    while (!pending_.empty() && pending_.top().first <= now) {
-      // Resubmissions join the back of the FCFS queue: a killed job loses
-      // its queue position, as in production schedulers.
-      queue_.push_back(pending_.top().second);
-      pending_.pop();
-    }
-  }
-
-  // One scheduling pass at time `now` (Algorithm 1 body), with the
-  // original full linear rescan of the queue.
-  void schedule_pass(double now) {
-    while (!queue_.empty()) {
-      const std::size_t head = queue_.front();
-      const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
-      const auto mi = static_cast<std::size_t>(m);
-      if (state_[mi].free >= jobs_[head].nodes_required) {
-        start_job(head, m, now);
-        queue_.pop_front();
-        continue;
-      }
-
-      // Head is blocked: reserve it at the shadow time on its machine.
-      const auto [shadow_time, projected_free] =
-          state_[mi].earliest_fit(now, jobs_[head].nodes_required);
-      // Nodes left over at the shadow time once the head's reservation is
-      // honoured; backfills running past the shadow may consume these.
-      int shadow_spare = projected_free - jobs_[head].nodes_required;
-
-      // Nothing can backfill while no machine has a free node.
-      int max_free = 0;
-      for (const auto& s : state_) max_free = std::max(max_free, s.free);
-      if (max_free == 0) break;
-
-      int scanned = 0;
-      for (auto it = std::next(queue_.begin());
-           it != queue_.end() && scanned < depth_limit_; ++scanned) {
-        const std::size_t cand = *it;
-        const Job& job = jobs_[cand];
-        const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
-        const auto ci = static_cast<std::size_t>(cm);
-        if (state_[ci].free < job.nodes_required) {
-          ++it;
-          continue;
-        }
-        if (cm != m) {
-          start_job(cand, cm, now);
-          it = queue_.erase(it);
-          continue;
-        }
-        // Same machine as the reservation: must not delay the head.
-        const double end = now + job.runtime[ci];
-        if (end <= shadow_time) {
-          start_job(cand, cm, now);
-          it = queue_.erase(it);
-        } else if (shadow_spare >= job.nodes_required) {
-          shadow_spare -= job.nodes_required;
-          start_job(cand, cm, now);
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;  // head stays blocked until the next event
-    }
-  }
-
-  std::list<std::size_t> queue_;
-  /// (release time, job) resubmissions and deferred submits, time-ordered;
-  /// ties release in job-index order for determinism.
-  std::priority_queue<std::pair<double, std::size_t>,
-                      std::vector<std::pair<double, std::size_t>>,
-                      std::greater<>>
-      pending_;
-  /// (kill time, job, attempt) pre-drawn random kills; stale entries are
-  /// skipped when the attempt no longer runs.
-  std::priority_queue<std::tuple<double, std::size_t, int>,
-                      std::vector<std::tuple<double, std::size_t, int>>,
-                      std::greater<>>
-      kills_;
-};
-
-/// The production engine (SimEngineKind::kCalendar): calendar queues for
-/// releases and kills, and a class-indexed FCFS queue whose backfill pass
-/// calls assign() only on candidates that can start on a machine the call
-/// can reach. Every other candidate would be assigned and then rejected by
-/// the free check; its call is skipped, and charged to its state key when
-/// the assigner has one, so results match the reference engine's full
-/// rescan bit for bit for every assigner (bounded-depth stateless runs
-/// aside; see SchedulerOptions::backfill_depth).
-class CalendarEngine final : public EngineBase<CalendarEngine> {
-  friend class EngineBase<CalendarEngine>;
-
- public:
-  using EngineBase<CalendarEngine>::EngineBase;
-
- private:
-  static constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
-
-  void init_queues() {
-    // Must run after prime(): GuardedModelBasedAssigner only knows its
-    // state keys once primed.
-    queue_.init(jobs_, assigner_);
-    stateful_ = assigner_.state_keys() > 0;
-  }
-  [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
-  void queue_push_back(std::size_t i) { queue_.push_back(i); }
-  void push_release(double t, std::size_t i) {
-    pending_.push({t, kReleaseEvent, static_cast<std::uint64_t>(i), 0});
-  }
-  void push_kill(double t, std::size_t i, int attempt) {
-    kills_.push({t, kKillEvent, static_cast<std::uint64_t>(i),
-                 static_cast<std::uint64_t>(attempt)});
-  }
-  [[nodiscard]] double next_kill_time() const { return kills_.next_time(); }
-  [[nodiscard]] double next_release_time() const { return pending_.next_time(); }
-
   void process_kills(double now) {
     while (!kills_.empty() && kills_.next_time() <= now) {
       const SimEvent e = kills_.pop_front();
@@ -683,6 +507,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         continue;
       }
 
+      // Head is blocked: reserve it at the shadow time on its machine.
       const auto [shadow_time, projected_free] =
           state_[mi].earliest_fit(now, jobs_[head].nodes_required);
       // No machine has a free node: nothing can backfill, and the full
@@ -690,13 +515,60 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
       int max_free = 0;
       for (const auto& s : state_) max_free = std::max(max_free, s.free);
       if (max_free == 0) break;
-      backfill(now, head, m, shadow_time, projected_free - jobs_[head].nodes_required);
+      const Reservation r{m, shadow_time, projected_free - jobs_[head].nodes_required};
+      if (rescan_) {
+        backfill_rescan(now, head, r);
+      } else {
+        backfill(now, head, r);
+      }
       break;  // head stays blocked until the next event
     }
   }
 
-  /// Backfills behind `head`, blocked and reserved on machine `m` at
-  /// `shadow_time` with `shadow_spare` nodes left over at it.
+  /// The blocked head's reservation: its machine, its shadow time, and
+  /// the nodes left over at the shadow time once the head is honoured
+  /// (backfills running past the shadow time may consume these).
+  struct Reservation {
+    arch::SystemId machine;
+    double shadow_time;
+    int shadow_spare;
+  };
+
+  /// The start-or-skip rule both backfill passes apply to a candidate:
+  /// assign it, and start it if its machine has room and, on the reserved
+  /// machine, it either ends by the shadow time or fits in the spare
+  /// nodes. Returns whether it started (and left the queue).
+  bool try_backfill(std::size_t cand, double now, Reservation& r) {
+    const Job& job = jobs_[cand];
+    const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
+    const auto ci = static_cast<std::size_t>(cm);
+    // Most candidates are rejected here. Without the hint GCC lays out the
+    // indexed pass's loop for the start path, and a 50k-job depth-1000
+    // simulation ran about 20% slower.
+    if (state_[ci].free < job.nodes_required) [[likely]] return false;
+    if (cm == r.machine && now + job.runtime[ci] > r.shadow_time) {
+      // Same machine as the reservation: must not delay the head.
+      if (r.shadow_spare < job.nodes_required) return false;
+      r.shadow_spare -= job.nodes_required;
+    }
+    start_job(cand, cm, now);
+    queue_.erase(cand);
+    return true;
+  }
+
+  /// The full rescan (SimEngineKind::kReference), kept as the oracle the
+  /// indexed pass is tested against: calls assign() on every queued job
+  /// behind `head`, in FCFS order, up to the depth-th.
+  void backfill_rescan(double now, std::size_t head, Reservation r) {
+    std::size_t cand = queue_.next(head);
+    for (int scanned = 0; cand != FcfsQueue::kNull && scanned < depth_limit_; ++scanned) {
+      const std::size_t after = queue_.next(cand);  // a start erases cand
+      try_backfill(cand, now, r);
+      cand = after;
+    }
+  }
+
+  /// The indexed pass: backfills behind `head` under its reservation `r`.
   ///
   /// Candidates are visited in FCFS order by merging the class sublists,
   /// but only from admitted classes: those whose width is at most the
@@ -712,8 +584,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   /// Depth (SchedulerOptions::backfill_depth): with a stateless assigner
   /// only visited candidates count; with a stateful one the pass stops
   /// where the full rescan would, at the depth-th job after the head.
-  void backfill(double now, std::size_t head, arch::SystemId m, double shadow_time,
-                int shadow_spare) {
+  void backfill(double now, std::size_t head, Reservation r) {
     const std::uint64_t limit = depth_position(head);
     int visits_left = stateful_ ? std::numeric_limits<int>::max() : depth_limit_;
     lanes_.clear();
@@ -748,28 +619,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
       --lanes_[best].left;
       last = best_seq;
       --visits_left;
-
-      const Job& job = jobs_[cand];
-      const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
-      const auto ci = static_cast<std::size_t>(cm);
-      if (state_[ci].free < job.nodes_required) continue;
-      bool started = false;
-      if (cm != m) {
-        started = true;
-      } else {
-        // Same machine as the reservation: must not delay the head.
-        const double end = now + job.runtime[ci];
-        if (end <= shadow_time) {
-          started = true;
-        } else if (shadow_spare >= job.nodes_required) {
-          shadow_spare -= job.nodes_required;
-          started = true;
-        }
-      }
-      if (!started) continue;
-      start_job(cand, cm, now);
-      queue_.erase(cand);
-      admit(last);
+      if (try_backfill(cand, now, r)) admit(last);
     }
 
     // Charge the calls the full rescan would have made past the last visit.
@@ -841,11 +691,35 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     bool admitted = false;
   };
 
+  const std::vector<Job>& jobs_;
+  MachineAssigner& assigner_;
+  const FaultTrace& faults_;
+  const CheckpointPolicy checkpoint_;
+  CheckpointPlanner* const planner_;
+  const int depth_limit_;
+  const bool rescan_;  ///< backfill with the full rescan (SimEngineKind::kReference)
+
+  std::array<MachineState, arch::kNumSystems> state_{};
+  std::array<int, arch::kNumSystems> free_nodes_{};
+  const ClusterView view_;
+
   FcfsQueue queue_;
-  CalendarQueue pending_;
-  CalendarQueue kills_;
+  CalendarQueue pending_;  ///< releases: resubmissions and deferred submits
+  CalendarQueue kills_;    ///< pre-drawn random kills; stale entries skipped
   bool stateful_ = false;  ///< assigner_.state_keys() > 0 after prime
   std::vector<Lane> lanes_;
+
+  std::vector<int> attempts_;
+  /// Per-job fraction of total progress durably checkpointed across
+  /// killed attempts; the next attempt on machine m resumes with
+  /// runtime[m] * (1 - saved_fraction_) of work remaining (a fraction,
+  /// not seconds, so resuming on a different machine scales correctly).
+  std::vector<double> saved_fraction_;
+  std::vector<RunningRef> running_ref_;
+  std::size_t trace_pos_ = 0;
+  std::size_t started_count_ = 0;
+  std::size_t finalized_ = 0;
+  SimulationResult result_;
 };
 
 }  // namespace
@@ -860,11 +734,7 @@ SimulationResult simulate(const std::vector<Job>& jobs,
                           const std::vector<Machine>& machines,
                           MachineAssigner& assigner, const FaultTrace& faults,
                           const SchedulerOptions& options) {
-  if (options.engine == SimEngineKind::kReference) {
-    ReferenceEngine engine(jobs, machines, assigner, faults, options);
-    return engine.run();
-  }
-  CalendarEngine engine(jobs, machines, assigner, faults, options);
+  Engine engine(jobs, machines, assigner, faults, options);
   return engine.run();
 }
 

@@ -34,32 +34,35 @@
 
 namespace mphpc::sched {
 
-/// Which event-engine implementation simulate() runs.
+/// Which backfill pass simulate()'s one event engine runs. The engine
+/// (calendar event queues with an explicit (time, kind, seq) total order,
+/// an FCFS queue indexed by (width, assigner state key), O(1)-amortised
+/// event handling, built for 10^6-job traces) is the same for both.
 ///
-/// kCalendar is the production engine: calendar/bucket event queues with
-/// an explicit (time, kind, seq) total order, an FCFS queue indexed by
-/// (width, assigner state key) so backfill skips job classes that cannot
-/// start on any machine their assign() call can reach, and O(1)-amortised
-/// event handling — built for 10^6-job traces.
-/// kReference preserves the original binary-heap + linear-rescan engine
-/// as the golden oracle: both engines produce bit-identical
-/// SimulationResults (golden-tested), kReference just does more work.
+/// kCalendar takes the indexed pass, which skips job classes that cannot
+/// start on any machine their assign() call can reach. kReference takes
+/// the full rescan, which calls assign() on every queued job behind the
+/// blocked head; it is kept as the oracle the indexed pass is tested
+/// against. Both give bit-identical SimulationResults (bounded-depth
+/// stateless runs aside; see backfill_depth), kReference just does more
+/// work.
 enum class SimEngineKind { kCalendar, kReference };
 
 struct SchedulerOptions {
   /// Maximum queued jobs examined per backfill pass. The paper's
   /// Algorithm 1 scans the whole queue; production schedulers often cap
   /// the scan. 0 means unlimited (the default, matching the paper).
-  /// The calendar engine counts by one of two rules:
+  /// The full rescan stops at the depth-th job after the head. The
+  /// indexed pass counts by one of two rules:
   ///   - stateless assigner (MachineAssigner::state_keys() == 0): only
   ///     candidates it visits count, i.e. those that fit a machine the
   ///     call can reach. Bounded-depth Round-Robin therefore counts only
   ///     candidates that fit its current target machine, and so sees
-  ///     deeper than the reference engine; no CLI or bench runs
-  ///     Round-Robin with a depth.
-  ///   - stateful assigner: the pass stops where the reference engine's
-  ///     full rescan does, at the depth-th job after the head, so both
-  ///     engines give identical results.
+  ///     deeper than the full rescan; no CLI or bench runs Round-Robin
+  ///     with a depth.
+  ///   - stateful assigner: the pass stops where the full rescan does,
+  ///     at the depth-th job after the head, so both passes give
+  ///     identical results.
   int backfill_depth = 0;
   /// Per-job checkpoint/restart policy. The default (interval 0) keeps
   /// the restart-from-zero behaviour bit-identically.

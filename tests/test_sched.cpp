@@ -2,10 +2,15 @@
 // injection, metrics.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "arch/system_catalog.hpp"
 #include "common/error.hpp"
@@ -1097,9 +1102,9 @@ TEST(CalendarQueue, DegenerateTimeDistributionsStaySorted) {
 
 // ---------------------------------------------- engine golden equivalence ----
 
-/// Runs the same simulation through the calendar and reference engines
-/// with independently constructed assigners and requires bit-identical
-/// results.
+/// Runs the same simulation through both backfill passes (the indexed
+/// pass and the full rescan) with independently constructed assigners and
+/// requires bit-identical results.
 template <typename MakeAssigner>
 void expect_engines_identical(const std::vector<Job>& jobs,
                               const std::vector<Machine>& machines,
@@ -1431,6 +1436,336 @@ TEST(AdaptiveYoungDaly, SimulationIsDeterministicAndEngineIdentical) {
   expect_results_identical(calendar, calendar_again);
   expect_results_identical(calendar, reference);
   EXPECT_GT(calendar.checkpoints_written, 0);
+}
+
+// --------------------------------------------------------- engine digests ----
+//
+// Both SimEngineKind values run the same event loop; they differ only in
+// the backfill pass. Comparing the two therefore cannot see a fault in the
+// loop or in its accounting, so every scenario above (and a wider matrix)
+// is also pinned to a digest recorded from the engine before its event
+// loops were folded into one. A digest value is never edited to make a
+// change pass: a changed digest means a changed simulation.
+
+/// FNV-1a over the bit patterns of everything a simulation reports: the
+/// makespan and averages, every counter and node-seconds array, each
+/// outcome's machine, start, end, attempts and abandoned flag, and the
+/// assigner's fallback count (GuardedModelBasedAssigner::fallbacks(), else 0).
+std::uint64_t result_digest(const SimulationResult& r, long long fallbacks) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto put_double = [&put](double v) { put(std::bit_cast<std::uint64_t>(v)); };
+  put_double(r.makespan_s);
+  put_double(r.avg_bounded_slowdown);
+  put_double(r.avg_wait_s);
+  for (const auto* per_machine : {&r.node_seconds, &r.lost_node_seconds,
+                                  &r.downtime_node_seconds,
+                                  &r.checkpoint_overhead_node_seconds,
+                                  &r.recovered_node_seconds}) {
+    for (const double v : *per_machine) put_double(v);
+  }
+  put(static_cast<std::uint64_t>(r.checkpoints_written));
+  put(static_cast<std::uint64_t>(r.jobs_killed));
+  put(static_cast<std::uint64_t>(r.total_retries));
+  put(r.completed_jobs);
+  put(r.abandoned_jobs);
+  for (const JobOutcome& o : r.outcomes) {
+    put(static_cast<std::uint64_t>(o.machine));
+    put_double(o.start_s);
+    put_double(o.end_s);
+    put(static_cast<std::uint64_t>(o.attempts));
+    put(o.abandoned ? 1 : 0);
+  }
+  put(static_cast<std::uint64_t>(fallbacks));
+  return fnv1a(bytes);
+}
+
+enum class Assigner { kRoundRobin, kRandom, kUserRoundRobin, kModel, kOracle, kGuarded };
+constexpr std::array kAllAssigners = {Assigner::kRoundRobin,     Assigner::kRandom,
+                                      Assigner::kUserRoundRobin, Assigner::kModel,
+                                      Assigner::kOracle,         Assigner::kGuarded};
+constexpr std::array kDepths = {0, 1, 3, 16};
+
+std::unique_ptr<MachineAssigner> make_assigner(Assigner kind, std::uint64_t random_seed) {
+  switch (kind) {
+    case Assigner::kRoundRobin: return std::make_unique<RoundRobinAssigner>();
+    case Assigner::kRandom: return std::make_unique<RandomAssigner>(random_seed);
+    case Assigner::kUserRoundRobin: return std::make_unique<UserRoundRobinAssigner>();
+    case Assigner::kModel: return std::make_unique<ModelBasedAssigner>();
+    case Assigner::kOracle: return std::make_unique<OracleAssigner>();
+    case Assigner::kGuarded: return std::make_unique<GuardedModelBasedAssigner>();
+  }
+  return nullptr;
+}
+
+/// The digests one scenario must produce under each engine kind. They are
+/// equal except where the two backfill passes count a bounded depth
+/// differently (a stateless assigner; see SchedulerOptions::backfill_depth).
+struct Pinned {
+  // Implicit, so a table entry can name one digest for both kinds.
+  Pinned(std::uint64_t both) : calendar(both), reference(both) {}
+  Pinned(std::uint64_t c, std::uint64_t r) : calendar(c), reference(r) {}
+  std::uint64_t calendar;
+  std::uint64_t reference;
+};
+
+/// Runs one scenario under both engine kinds, each with a fresh assigner
+/// from `make`, and requires each result's digest to equal its pin.
+void expect_digests(const std::string& label, const std::vector<Job>& jobs,
+                    const std::vector<Machine>& machines, const FaultTrace& trace,
+                    SchedulerOptions options,
+                    const std::function<std::unique_ptr<MachineAssigner>()>& make,
+                    Pinned pinned) {
+  for (const auto& [engine, expected] :
+       {std::pair{SimEngineKind::kCalendar, pinned.calendar},
+        std::pair{SimEngineKind::kReference, pinned.reference}}) {
+    const auto assigner = make();
+    options.engine = engine;
+    const auto result = simulate(jobs, machines, *assigner, trace, options);
+    const auto* guarded = dynamic_cast<const GuardedModelBasedAssigner*>(assigner.get());
+    const std::uint64_t got = result_digest(result, guarded ? guarded->fallbacks() : 0);
+    EXPECT_EQ(got, expected) << label
+                             << (engine == SimEngineKind::kCalendar ? " calendar"
+                                                                    : " reference")
+                             << " digest 0x" << std::hex << got;
+  }
+}
+
+/// Replaces each job's exact predicted RPV with one from runtimes scaled
+/// by up to +-50% noise, and makes every 9th implausible (NaN), so the
+/// model-based, oracle and guarded assigners each place jobs differently.
+std::vector<Job> with_noisy_predictions(std::vector<Job> jobs, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    core::SystemTimes noisy = jobs[i].runtime;
+    for (double& t : noisy) t *= rng.uniform(0.5, 1.5);
+    jobs[i].predicted = core::Rpv::relative_to(noisy, SystemId::kQuartz);
+    if (i % 9 == 0) {
+      jobs[i].predicted =
+          core::Rpv({std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0, 1.0});
+    }
+  }
+  return jobs;
+}
+
+/// Scenario label "<assigner index>/depth <d>".
+std::string matrix_label(std::size_t a, int depth) {
+  return std::to_string(a) + "/depth " + std::to_string(depth);
+}
+
+TEST(EngineDigest, AllAssignersUnderFaultsAndCheckpoints) {
+  const auto machines = tiny_cluster(3, 3, 3, 3);
+  const auto jobs = random_workload(1'500, 17);
+  const auto trace = FaultModel::uniform(2000.0, 400.0, 0.05, {}, 23).generate(machines, 50'000.0);
+  SchedulerOptions options;
+  options.checkpoint = {40.0, 2.0};
+  const std::array<Pinned, kAllAssigners.size()> pins = {
+      0xc441ff6b174f4bf4,
+      0x3bdc5e525b9561a2,
+      0xa493aff07686f79,
+      0x195d4111b9877356,
+      0x195d4111b9877356,
+      0x195d4111b9877356};
+  for (std::size_t a = 0; a < kAllAssigners.size(); ++a) {
+    expect_digests(matrix_label(a, 0), jobs, machines, trace, options,
+                   [&] { return make_assigner(kAllAssigners[a], 9); }, pins[a]);
+  }
+}
+
+TEST(EngineDigest, BoundedDepthStatefulAssigners) {
+  const auto machines = tiny_cluster();
+  const auto jobs = random_workload(800, 29);
+  const auto trace = FaultModel::uniform(3000.0, 500.0, 0.08, {}, 41).generate(machines, 80'000.0);
+  const std::array<std::array<Pinned, 2>, 3> pins = {{
+      {0xa03b8f5f76139fed, 0x7ee3084ea6f3c608},
+      {0x9a002507639de7cc, 0x48779eca60e839ee},
+      {0x3d173677730b2e25, 0xd4099627fc33f897},
+  }};
+  const std::array<int, 3> depths = {1, 3, 16};
+  for (std::size_t d = 0; d < depths.size(); ++d) {
+    SchedulerOptions options;
+    options.backfill_depth = depths[d];
+    expect_digests("random/depth " + std::to_string(depths[d]), jobs, machines, trace,
+                   options, [] { return make_assigner(Assigner::kRandom, 31); }, pins[d][0]);
+    expect_digests("user-rr/depth " + std::to_string(depths[d]), jobs, machines, trace,
+                   options, [] { return make_assigner(Assigner::kUserRoundRobin, 0); },
+                   pins[d][1]);
+  }
+}
+
+TEST(EngineDigest, GuardedFallbackPath) {
+  const auto machines = tiny_cluster(3, 3, 3, 3);
+  auto jobs = random_workload(800, 5);
+  for (std::size_t i = 0; i < jobs.size(); i += 7) {
+    jobs[i].predicted = core::Rpv({std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0, 1.0});
+  }
+  const auto trace = FaultModel::uniform(2500.0, 400.0, 0.05, {}, 59).generate(machines, 60'000.0);
+  SchedulerOptions options;
+  options.backfill_depth = 3;
+  expect_digests("guarded/depth 3", jobs, machines, trace, options,
+                 [] { return make_assigner(Assigner::kGuarded, 0); }, 0xea50fc899cef550a);
+}
+
+TEST(EngineDigest, CollidingTimestamps) {
+  class QuartzOnly final : public MachineAssigner {
+   public:
+    arch::SystemId assign(const Job&, std::size_t, const ClusterView&) override {
+      return SystemId::kQuartz;
+    }
+    std::string name() const override { return "quartz-only"; }
+  };
+  FaultTrace trace;
+  trace.events = {{10.0, SystemId::kQuartz, -1},
+                  {10.0, SystemId::kQuartz, -1},
+                  {50.0, SystemId::kQuartz, +1},
+                  {80.0, SystemId::kQuartz, +1}};
+  trace.retry = {4, 5.0, 2.0, 3600.0, 0.0};
+  const std::vector<Job> jobs = {make_job(0, 100, 100, 100, 100),
+                                 make_job(1, 100, 100, 100, 100)};
+  expect_digests("quartz-only", jobs, tiny_cluster(), trace, {},
+                 [] { return std::make_unique<QuartzOnly>(); }, 0x102ad9bb9e3235a1);
+}
+
+TEST(EngineDigest, WideJobsEveryAssignerAndDepthUnderFaults) {
+  // Round-Robin, model-based and oracle placement are stateless, so the two
+  // passes count a bounded depth differently: those rows pin one digest
+  // per engine kind.
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  const auto jobs = with_noisy_predictions(wide_workload(1'200, 6, 0.0, 61), 63);
+  const auto trace = FaultModel::uniform(1500.0, 300.0, 0.05, {}, 67).generate(machines, 40'000.0);
+  const std::array<std::array<Pinned, kDepths.size()>, kAllAssigners.size()> pins = {{
+      {0x74d280b679e43ef1,
+       {0x3fb5cdc838e3c1b4, 0xbfe05ab358994b14},
+       {0x2dc900e2fd2dbb8f, 0xf81b324ec07c3cb1},
+       {0xd2b49603c2995a95, 0x905ff89e19aa9345}},
+      {0x90ee2037910eec42,
+       0x78e0bad2200a511d,
+       0xf1c8357bc48c8bab,
+       0x91dc487cf7f15eee},
+      {0x8321976fc8852fd4,
+       0xf66f862ac760d5fa,
+       0xf6714fce8ee7250b,
+       0x3b9df40647b8ae69},
+      {0x5961a755a791a87c,
+       {0xffb7707c844d4539, 0x14b7a1c2de46ffa0},
+       {0xddb2903303b8f460, 0x5d7a7d366715facd},
+       {0x280f10d19386209e, 0x4f03e758937b9120}},
+      {0x2cf0d208672442b4,
+       {0xaa235573a77e0bb5, 0x2a68af90952ed5a5},
+       {0xd41297521a13cecf, 0xcc83d486e661498},
+       {0x1fc7bf6737d3240e, 0x77e6da3d65753868}},
+      {0xe16847bed6791c9d,
+       0x2128eaa4777177b6,
+       0xcf37a37a3956b1a0,
+       0x1bbe45aa24e9fbec},
+  }};
+  for (std::size_t a = 0; a < kAllAssigners.size(); ++a) {
+    for (std::size_t d = 0; d < kDepths.size(); ++d) {
+      SchedulerOptions options;
+      options.backfill_depth = kDepths[d];
+      expect_digests(matrix_label(a, kDepths[d]), jobs, machines, trace, options,
+                     [&] { return make_assigner(kAllAssigners[a], 71); }, pins[a][d]);
+    }
+  }
+}
+
+TEST(EngineDigest, GuardedFallbackCount) {
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  auto jobs = wide_workload(1'000, 6, 0.0, 79);
+  for (std::size_t i = 0; i < jobs.size(); i += 5) {
+    jobs[i].predicted = core::Rpv({1.0, 1e9, 1.0, 1.0});
+  }
+  const auto trace = FaultModel::uniform(2000.0, 300.0, 0.05, {}, 83).generate(machines, 40'000.0);
+  const std::array<Pinned, 2> pins = {0x8eb1cb85dd660674, 0x379bd1e388453607};
+  const std::array<int, 2> depths = {0, 3};
+  for (std::size_t d = 0; d < depths.size(); ++d) {
+    SchedulerOptions options;
+    options.backfill_depth = depths[d];
+    expect_digests("guarded/depth " + std::to_string(depths[d]), jobs, machines, trace,
+                   options, [] { return make_assigner(Assigner::kGuarded, 0); }, pins[d]);
+  }
+}
+
+TEST(EngineDigest, ArrivalsFaultsAndCheckpointsEveryAssignerAndDepth) {
+  // The staggered-arrival scenario of EngineGolden, widened: every
+  // assigner and depth, with node faults, random kills and checkpoints.
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  const auto jobs = with_noisy_predictions(wide_workload(1'200, 6, 1'500.0, 89), 93);
+  const auto trace = FaultModel::uniform(1500.0, 300.0, 0.05, {}, 91).generate(machines, 40'000.0);
+  const std::array<std::array<Pinned, kDepths.size()>, kAllAssigners.size()> pins = {{
+      {0x14fc012400e39ced,
+       {0xc079735099afc1f6, 0x3027a692db04cab2},
+       {0x1bf32ab4d1a7eef9, 0x9b81ca4e7057c958},
+       {0xee4d8fb81fe5685c, 0x5d868c7d49b2c9ea}},
+      {0xdb51232d6ac2319f,
+       0x6f6016524319d8e8,
+       0x3f9bff4d08d67aa1,
+       0xfe896d29fcab6e8a},
+      {0x8785e141d6aec8a4,
+       0x7be69403dcf767fd,
+       0x21ef12192a971a4a,
+       0xbe60168448bb1b45},
+      {0x1a9543931677fb70,
+       {0x96a4f2fb53463d07, 0x4d44ff6fcd3289c3},
+       {0x7bf71ee74bc23443, 0x736d47f2423bec9e},
+       {0x4b020e5fda853680, 0x52a163aba4c3342d}},
+      {0xb204a15480194106,
+       {0x3c8655a0ed678007, 0x37cf7d0b3b0ea7b},
+       {0xc5a7443180c0deb0, 0x49d3feb722e2ef7d},
+       {0xbc0f8a64326346a3, 0x1f8145575a770630}},
+      {0xc61e99e627c990f1,
+       0x589b7341ddae3f8c,
+       0x8f88db9499b220cf,
+       0x710822de0bd9a9b1},
+  }};
+  for (std::size_t a = 0; a < kAllAssigners.size(); ++a) {
+    for (std::size_t d = 0; d < kDepths.size(); ++d) {
+      SchedulerOptions options;
+      options.backfill_depth = kDepths[d];
+      options.checkpoint = {8.0, 0.5};
+      expect_digests(matrix_label(a, kDepths[d]), jobs, machines, trace, options,
+                     [&] { return make_assigner(kAllAssigners[a], 97); }, pins[a][d]);
+    }
+  }
+}
+
+TEST(EngineDigest, StaggeredArrivalsFaultFree) {
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  const auto jobs = wide_workload(1'200, 6, 1'500.0, 89);
+  const std::array<std::array<Pinned, 2>, 2> pins = {{
+      {0x483c9d627f849311, 0x29bca9497177d1},
+      {0x3cc799b0e03c1de6, 0x73e9ef2fdc8cf5aa},
+  }};
+  const std::array<int, 2> depths = {0, 3};
+  for (std::size_t d = 0; d < depths.size(); ++d) {
+    SchedulerOptions options;
+    options.backfill_depth = depths[d];
+    expect_digests("random/depth " + std::to_string(depths[d]), jobs, machines,
+                   FaultTrace::none(), options,
+                   [] { return make_assigner(Assigner::kRandom, 97); }, pins[d][0]);
+    expect_digests("user-rr/depth " + std::to_string(depths[d]), jobs, machines,
+                   FaultTrace::none(), options,
+                   [] { return make_assigner(Assigner::kUserRoundRobin, 0); }, pins[d][1]);
+  }
+}
+
+TEST(EngineDigest, AdaptiveYoungDaly) {
+  const auto machines = tiny_cluster(3, 3, 3, 3);
+  const auto jobs = random_workload(400, 81);
+  const auto trace = FaultModel::uniform(1500.0, 400.0, 0.1, {}, 83).generate(machines, 80'000.0);
+  // The planner learns during a run, so each engine kind gets a fresh one.
+  for (const auto engine : {SimEngineKind::kCalendar, SimEngineKind::kReference}) {
+    AdaptiveYoungDalyPlanner planner(0.05, 2000.0);
+    SchedulerOptions options;
+    options.planner = &planner;
+    options.engine = engine;
+    RoundRobinAssigner assigner;
+    const std::uint64_t got =
+        result_digest(simulate(jobs, machines, assigner, trace, options), 0);
+    EXPECT_EQ(got, 0x9f92063a04f90200U) << "digest 0x" << std::hex << got;
+  }
 }
 
 // ------------------------------------------------------- scale (gated) ----

@@ -421,9 +421,12 @@ EOF
   # hist + width * bin from offset bin-table entries; its golden and
   # thread-count determinism fits must run under ASan too. So must the
   # serve transport's line framing and outbound-buffer offsets
-  # (ServeIntake, ServeTransport).
+  # (ServeIntake, ServeTransport), and the scheduler's two backfill passes,
+  # which walk the FCFS queue's intrusive link arrays up to their kNull
+  # sentinel and the calendar queues' buckets (EngineGolden, EngineDigest,
+  # CalendarQueue).
   ctest --preset asan \
-    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts|ServeIntake|ServeTransport' \
+    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts|ServeIntake|ServeTransport|EngineGolden|EngineDigest|CalendarQueue' \
     --no-tests=error --output-on-failure
   if [[ "${with_tsan}" -eq 1 ]]; then
     # The full suite already ran under TSan above; this re-run asserts the

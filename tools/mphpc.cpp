@@ -199,9 +199,12 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+/// Inputs per application of the dataset a command builds (--inputs).
+int dataset_inputs(const Args& args) { return args.get_int("inputs", 12); }
+
 core::Dataset build_dataset(const Args& args,
                             const std::string& default_campaign_dir = "") {
-  const int inputs = args.get_int("inputs", 12);
+  const int inputs = dataset_inputs(args);
   const workload::AppCatalog apps;
   const arch::SystemCatalog systems;
   sim::CampaignOptions options;
@@ -659,6 +662,7 @@ int cmd_sched_faults(const Args& args) {
 /// Config echoed into every sched-scale report, complete or partial.
 struct ScaleConfig {
   std::size_t jobs = 0;
+  int inputs = 0;  ///< dataset inputs per application the jobs are drawn from
   std::uint64_t seed = 0;
   int backfill_depth = 0;
   double arrival_rate_per_s = 0.0;
@@ -671,6 +675,7 @@ struct ScaleConfig {
 void emit_scale_config(JsonWriter& json, const ScaleConfig& cfg) {
   json.begin_object("config");
   json.field("jobs", cfg.jobs);
+  json.field("inputs", cfg.inputs);
   json.field("seed", static_cast<long long>(cfg.seed));
   json.field("backfill_depth", cfg.backfill_depth);
   json.field("arrival_rate_per_s", cfg.arrival_rate_per_s);
@@ -753,9 +758,15 @@ int cmd_sched_scale(const Args& args) {
   const double sample_s = sample_timer.seconds();
   std::printf("sampled in %.2f s\n", sample_s);
 
-  ScaleConfig cfg{count,   seed,   options.backfill_depth,
-                  wopts.arrival_rate_per_s, node_mtbf_h,
-                  mttr_h,  kill_prob,       retry.max_attempts};
+  const ScaleConfig cfg{.jobs = count,
+                        .inputs = dataset_inputs(args),
+                        .seed = seed,
+                        .backfill_depth = options.backfill_depth,
+                        .arrival_rate_per_s = wopts.arrival_rate_per_s,
+                        .node_mtbf_h = node_mtbf_h,
+                        .mttr_h = mttr_h,
+                        .kill_prob = kill_prob,
+                        .max_attempts = retry.max_attempts};
   if (latch.requested()) {
     return flush_interrupted_scale_report(out, cfg, "sample", {});
   }
