@@ -31,6 +31,11 @@ std::string parent_dir(const std::string& path) {
 }  // namespace
 
 void atomic_write_text(const std::string& path, std::string_view content) {
+  atomic_write_text(path, {content});
+}
+
+void atomic_write_text(const std::string& path,
+                       std::initializer_list<std::string_view> parts) {
   MPHPC_EXPECTS(!path.empty());
   // Unique per (process, call): concurrent threads writing different
   // destinations in the same directory must not share a temp name.
@@ -41,18 +46,20 @@ void atomic_write_text(const std::string& path, std::string_view content) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot open for writing", tmp);
 
-  const char* data = content.data();
-  std::size_t left = content.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      fail("write failed", tmp);
+  for (const std::string_view content : parts) {
+    const char* data = content.data();
+    std::size_t left = content.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, data, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        fail("write failed", tmp);
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
     }
-    data += n;
-    left -= static_cast<std::size_t>(n);
   }
 
   // Flush file data to stable storage before the rename publishes it;

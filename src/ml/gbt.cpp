@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -223,6 +224,10 @@ inline void gradients(GbtObjective objective, double delta, double pred, double 
   h = 1.0 / (s * sq);
 }
 
+[[noreturn]] void throw_node_error(std::size_t node, const std::string& what) {
+  throw ParseError("gbt: node " + std::to_string(node) + what);
+}
+
 /// Structural validation of an untrusted (deserialized) tree. GbtTree::
 /// predict indexes nodes unchecked and follows child links in a loop, so a
 /// corrupt model could otherwise read out of bounds or cycle forever:
@@ -237,35 +242,104 @@ void validate_tree_topology(const GbtTree& tree, std::size_t n_feat) {
   std::vector<std::uint8_t> parents(tree.nodes.size(), 0);
   for (std::size_t node = 0; node < tree.nodes.size(); ++node) {
     const GbtNode& gn = tree.nodes[node];
-    const std::string at = "gbt: node " + std::to_string(node);
     if (gn.is_leaf()) {
       if (gn.left != -1 || gn.right != -1) {
-        throw ParseError(at + ": leaf has child links");
+        throw_node_error(node, ": leaf has child links");
       }
       continue;
     }
     if (static_cast<std::size_t>(gn.feature) >= n_feat) {
-      throw ParseError(at + ": feature " + std::to_string(gn.feature) +
-                       " out of range");
+      throw_node_error(node, ": feature " + std::to_string(gn.feature) + " out of range");
     }
     const auto self = static_cast<long long>(node);
     if (gn.left <= self || gn.left >= n_nodes || gn.right <= self ||
         gn.right >= n_nodes) {
-      throw ParseError(at + ": child links must point forward and in range");
+      throw_node_error(node, ": child links must point forward and in range");
     }
     for (const int child : {gn.left, gn.right}) {
       auto& count = parents[static_cast<std::size_t>(child)];
       if (count++ != 0) {
-        throw ParseError("gbt: node " + std::to_string(child) +
-                         " has more than one parent");
+        throw_node_error(static_cast<std::size_t>(child), " has more than one parent");
       }
     }
   }
   for (std::size_t node = 1; node < parents.size(); ++node) {
-    if (parents[node] == 0) {
-      throw ParseError("gbt: node " + std::to_string(node) + " has no parent");
-    }
+    if (parents[node] == 0) throw_node_error(node, " has no parent");
   }
+}
+
+/// The '\n'-separated lines of a model text as views into it, read front
+/// to back. Lines are numbered as split(text, '\n') numbers them: a text
+/// holds one more line than it has newlines.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text)
+      : text_(text),
+        count_(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1),
+        end_(std::min(text.find('\n'), text.size())) {}
+
+  /// Skips blank lines; returns the next line, trimmed and not consumed,
+  /// or an empty view when no line is left.
+  std::string_view peek() {
+    while (index_ < count_) {
+      const std::string_view line = trim(text_.substr(begin_, end_ - begin_));
+      if (!line.empty()) return line;
+      advance();
+    }
+    return {};
+  }
+
+  /// Consumes and returns the next non-blank line, trimmed.
+  std::string_view next() {
+    const std::string_view line = peek();
+    if (index_ >= count_) throw ParseError("gbt: truncated model");
+    advance();
+    return line;
+  }
+
+  /// Lines not consumed yet, blank ones included.
+  [[nodiscard]] std::size_t remaining() const noexcept { return count_ - index_; }
+
+ private:
+  void advance() noexcept {
+    ++index_;
+    begin_ = end_ + 1;
+    if (index_ < count_) end_ = std::min(text_.find('\n', begin_), text_.size());
+  }
+
+  std::string_view text_;
+  std::size_t count_;
+  std::size_t index_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_;
+};
+
+/// Splits `line` on single spaces the way split(line, ' ') does, keeping
+/// empty fields, into at most N views; returns the field count, or N + 1
+/// when the line has more than N fields.
+template <std::size_t N>
+std::size_t split_fields(std::string_view line, std::array<std::string_view, N>& fields) {
+  std::size_t n = 0;
+  std::size_t begin = 0;
+  while (n < N) {
+    const std::size_t space = line.find(' ', begin);
+    if (space == std::string_view::npos) {
+      fields[n++] = line.substr(begin);
+      return n;
+    }
+    fields[n++] = line.substr(begin, space - begin);
+    begin = space + 1;
+  }
+  return N + 1;
+}
+
+/// Writes `v` as std::to_string / format_double spell it, then `sep`;
+/// returns the end of what it wrote.
+template <typename T>
+char* put(char* out, T v, char sep) {
+  out = std::to_chars(out, out + 32, v).ptr;
+  *out++ = sep;
+  return out;
 }
 
 }  // namespace
@@ -540,13 +614,27 @@ std::string GbtRegressor::serialize() const {
       out += "\n";
     }
   }
+  // Node lines run ~32 bytes; reserving 40 a node keeps the writer to one
+  // buffer for any model this repo trains.
+  std::size_t n_nodes = 0;
+  for (const auto& ensemble : ensembles_) {
+    for (const GbtTree& tree : ensemble) n_nodes += tree.nodes.size() + 1;
+  }
+  out.reserve(out.size() + 40 * n_nodes);
+  char line[160];
   for (std::size_t k = 0; k < ensembles_.size(); ++k) {
     for (const GbtTree& tree : ensembles_[k]) {
-      out += "tree " + std::to_string(k) + " " + std::to_string(tree.nodes.size()) + "\n";
+      std::memcpy(line, "tree ", 5);
+      char* p = put(line + 5, k, ' ');
+      p = put(p, tree.nodes.size(), '\n');
+      out.append(line, p);
       for (const GbtNode& node : tree.nodes) {
-        out += std::to_string(node.feature) + " " + format_double(node.threshold) +
-               " " + std::to_string(node.left) + " " + std::to_string(node.right) +
-               " " + format_double(node.weight) + "\n";
+        p = put(line, node.feature, ' ');
+        p = put(p, node.threshold, ' ');
+        p = put(p, node.left, ' ');
+        p = put(p, node.right, ' ');
+        p = put(p, node.weight, '\n');
+        out.append(line, p);
       }
     }
   }
@@ -554,15 +642,8 @@ std::string GbtRegressor::serialize() const {
 }
 
 GbtRegressor GbtRegressor::deserialize(std::string_view text) {
-  const auto lines = split(text, '\n');
-  std::size_t i = 0;
-  const auto next_line = [&]() -> std::string_view {
-    while (i < lines.size() && trim(lines[i]).empty()) ++i;
-    if (i >= lines.size()) throw ParseError("gbt: truncated model");
-    return trim(lines[i++]);
-  };
-
-  const auto header = split(next_line(), ' ');
+  LineCursor lines(text);
+  const auto header = split(lines.next(), ' ');
   if (header.size() != 3 || header[0] != "gbt") throw ParseError("gbt: bad header");
   const long long n_out_raw = parse_int(header[1]);
   const long long n_feat_raw = parse_int(header[2]);
@@ -576,7 +657,7 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
   model.n_features_ = n_feat;
 
   // Optional method line (older serialized models omit it).
-  auto base_or_method = split(next_line(), ' ');
+  auto base_or_method = split(lines.next(), ' ');
   if (!base_or_method.empty() && base_or_method[0] == "method") {
     if (base_or_method.size() != 3) throw ParseError("gbt: bad method line");
     if (base_or_method[1] != "hist") {
@@ -588,18 +669,18 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
       throw ParseError("gbt: max_bins out of range");
     }
     model.options_.max_bins = static_cast<int>(bins);
-    base_or_method = split(next_line(), ' ');
+    base_or_method = split(lines.next(), ' ');
   }
   const auto& base = base_or_method;
   if (base.size() != n_out + 1 || base[0] != "base") throw ParseError("gbt: bad base");
   for (std::size_t k = 0; k < n_out; ++k) {
     model.base_score_.push_back(parse_double(base[k + 1]));
   }
-  const auto gains = split(next_line(), ' ');
+  const auto gains = split(lines.next(), ' ');
   if (gains.size() != n_feat + 1 || gains[0] != "importance_gain") {
     throw ParseError("gbt: bad importance_gain");
   }
-  const auto counts = split(next_line(), ' ');
+  const auto counts = split(lines.next(), ' ');
   if (counts.size() != n_feat + 1 || counts[0] != "importance_count") {
     throw ParseError("gbt: bad importance_count");
   }
@@ -610,20 +691,16 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
 
   // Optional per-output accumulator lines (models serialized before the
   // checkpoint format omit them).
-  const auto peek_line = [&]() -> std::string_view {
-    while (i < lines.size() && trim(lines[i]).empty()) ++i;
-    return i < lines.size() ? trim(lines[i]) : std::string_view{};
-  };
-  if (peek_line().starts_with("importance_gain_out")) {
+  if (lines.peek().starts_with("importance_gain_out")) {
     model.gain_by_output_.assign(n_out, {});
     model.count_by_output_.assign(n_out, {});
     for (std::size_t k = 0; k < n_out; ++k) {
-      const auto gout = split(next_line(), ' ');
+      const auto gout = split(lines.next(), ' ');
       if (gout.size() != n_feat + 2 || gout[0] != "importance_gain_out" ||
           parse_int(gout[1]) != static_cast<long long>(k)) {
         throw ParseError("gbt: bad importance_gain_out");
       }
-      const auto cout_line = split(next_line(), ' ');
+      const auto cout_line = split(lines.next(), ' ');
       if (cout_line.size() != n_feat + 2 || cout_line[0] != "importance_count_out" ||
           parse_int(cout_line[1]) != static_cast<long long>(k)) {
         throw ParseError("gbt: bad importance_count_out");
@@ -636,22 +713,19 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
   }
 
   model.ensembles_.assign(n_out, {});
-  while (true) {
-    while (i < lines.size() && trim(lines[i]).empty()) ++i;
-    if (i >= lines.size()) break;
-    const auto tree_header = split(trim(lines[i++]), ' ');
-    if (tree_header.size() != 3 || tree_header[0] != "tree") {
+  std::array<std::string_view, 5> fields;
+  while (!lines.peek().empty()) {
+    if (split_fields(lines.next(), fields) != 3 || fields[0] != "tree") {
       throw ParseError("gbt: bad tree header");
     }
-    const long long output_raw = parse_int(tree_header[1]);
-    const long long n_nodes_raw = parse_int(tree_header[2]);
+    const long long output_raw = parse_int(fields[1]);
+    const long long n_nodes_raw = parse_int(fields[2]);
     if (output_raw < 0 || static_cast<std::size_t>(output_raw) >= n_out) {
       throw ParseError("gbt: tree output out of range");
     }
     // Every node takes one line, so a sane node count cannot exceed the
     // remaining input (guards reserve() against absurd corrupt headers).
-    if (n_nodes_raw < 1 ||
-        static_cast<std::size_t>(n_nodes_raw) > lines.size() - i) {
+    if (n_nodes_raw < 1 || static_cast<std::size_t>(n_nodes_raw) > lines.remaining()) {
       throw ParseError("gbt: bad tree node count " + std::to_string(n_nodes_raw));
     }
     const auto output = static_cast<std::size_t>(output_raw);
@@ -659,14 +733,13 @@ GbtRegressor GbtRegressor::deserialize(std::string_view text) {
     GbtTree tree;
     tree.nodes.reserve(n_nodes);
     for (std::size_t node = 0; node < n_nodes; ++node) {
-      const auto parts = split(next_line(), ' ');
-      if (parts.size() != 5) throw ParseError("gbt: bad node");
+      if (split_fields(lines.next(), fields) != 5) throw ParseError("gbt: bad node");
       GbtNode gn;
-      gn.feature = static_cast<int>(parse_int(parts[0]));
-      gn.threshold = parse_double(parts[1]);
-      gn.left = static_cast<int>(parse_int(parts[2]));
-      gn.right = static_cast<int>(parse_int(parts[3]));
-      gn.weight = parse_double(parts[4]);
+      gn.feature = static_cast<int>(parse_int(fields[0]));
+      gn.threshold = parse_double(fields[1]);
+      gn.left = static_cast<int>(parse_int(fields[2]));
+      gn.right = static_cast<int>(parse_int(fields[3]));
+      gn.weight = parse_double(fields[4]);
       tree.nodes.push_back(gn);
     }
     validate_tree_topology(tree, n_feat);

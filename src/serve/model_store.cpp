@@ -116,10 +116,9 @@ std::string ModelStore::store(const core::CrossArchPredictor& predictor,
   MPHPC_EXPECTS(predictor.trained() && generation >= 0);
   const std::string body = predictor.serialize_text();
   std::string fingerprint = fingerprint_of(body);
-  std::string text = std::string(kMagic) + std::to_string(generation) + " " +
-                     fingerprint + "\n";
-  text += body;
-  atomic_write_text(path_, text);
+  const std::string header =
+      std::string(kMagic) + std::to_string(generation) + " " + fingerprint + "\n";
+  atomic_write_text(path_, {header, body});
   return fingerprint;
 }
 

@@ -11,6 +11,7 @@
 #include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "common/timer.hpp"
 #include "serve/fault_inject.hpp"
 
 namespace mphpc::serve {
@@ -51,6 +52,7 @@ void ServeCore::bootstrap() {
   // The store is the survivor of the last run and always wins: after a
   // crash the daemon must come back serving exactly the model it last
   // persisted, not the (older) --model file.
+  const Timer load_timer;
   std::optional<ModelStore::StoredModel> stored;
   try {
     stored = store_.load();
@@ -61,6 +63,7 @@ void ServeCore::bootstrap() {
     generation_ = stored->generation;
     fingerprint_ = std::move(stored->fingerprint);
     guard_ = core::GuardedPredictor(std::move(stored->predictor), options_.bounds);
+    bootstrap_load_ms_ = load_timer.millis();
     return;
   }
   if (options_.model_path.empty()) {
@@ -72,8 +75,11 @@ void ServeCore::bootstrap() {
   // Seed the store immediately so a SIGKILL before the first refit still
   // restarts from a persisted generation 0.
   core::CrossArchPredictor seeded = core::CrossArchPredictor::load(options_.model_path);
+  bootstrap_load_ms_ = load_timer.millis();
+  const Timer store_timer;
   generation_ = 0;
   fingerprint_ = store_.store(seeded, generation_);
+  bootstrap_store_ms_ = store_timer.millis();
   guard_ = core::GuardedPredictor(std::move(seeded), options_.bounds);
 }
 
@@ -453,6 +459,10 @@ std::string ServeCore::stats_reply(std::string_view id) {
   w.field("depth", lane_feedback_depth_.load(std::memory_order_relaxed));
   w.field("shed", shed_feedback_.load(std::memory_order_relaxed));
   w.end_object();
+  w.end_object();
+  w.begin_object("bootstrap_ms");
+  w.field("load", bootstrap_load_ms_);
+  w.field("store", bootstrap_store_ms_);
   w.end_object();
   if (!bootstrap_note_.empty()) w.field("bootstrap_note", bootstrap_note_);
   w.end_object();

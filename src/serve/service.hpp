@@ -175,6 +175,11 @@ class ServeCore {
   core::GuardedPredictor guard_;
   RefitLease lease_;
   std::string bootstrap_note_;
+  /// Start-up split for the stats op: loading the served model (store
+  /// load, or --model parse, compile included) and the seeding store write
+  /// (0 when the store survived).
+  double bootstrap_load_ms_ = 0.0;
+  double bootstrap_store_ms_ = 0.0;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 

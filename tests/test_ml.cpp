@@ -811,6 +811,102 @@ TEST(Gbt, DeserializeRejectsTreeForUnknownOutput) {
   EXPECT_THROW(GbtRegressor::deserialize(bad), ParseError);
 }
 
+// ------------------------------------------ gbt: parser mutation sweep ----
+
+// Applies one seeded edit to `text`: a bit flip, an inserted space, tab,
+// newline, carriage return or digit, a deleted byte, a duplicated line or
+// a truncation.
+std::string mutate(std::string text, Rng& rng) {
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng.below(n)); };
+  switch (rng.below(5)) {
+    case 0:
+      if (!text.empty()) text[pick(text.size())] ^= static_cast<char>(1u << rng.below(8));
+      break;
+    case 1: {
+      static constexpr char kSeparators[] = {' ', '\t', '\n', '\r'};
+      const std::size_t kind = pick(5);
+      const char c = kind < 4 ? kSeparators[kind] : static_cast<char>('0' + rng.below(10));
+      text.insert(pick(text.size() + 1), 1, c);
+      break;
+    }
+    case 2:
+      if (!text.empty()) text.erase(pick(text.size()), 1);
+      break;
+    case 3: {
+      if (text.empty()) break;
+      const std::size_t before = text.rfind('\n', pick(text.size()));
+      const std::size_t begin = before == std::string::npos ? 0 : before + 1;
+      const std::size_t nl = text.find('\n', begin);
+      const std::size_t end = nl == std::string::npos ? text.size() : nl + 1;
+      text.insert(end, text.substr(begin, end - begin));
+      break;
+    }
+    default:
+      text.resize(pick(text.size() + 1));
+      break;
+  }
+  return text;
+}
+
+TEST(GbtParse, MutantVerdictsPinned) {
+  // Pins the model-text language: ~2,000 seeded edits of a trained model
+  // and of the corrupt-model fixtures above, each either accepted (and its
+  // re-serialized bytes recorded) or rejected with a ParseError (and its
+  // message recorded). The digest of that record was taken from the
+  // split()-based parser, so a parser rewrite must accept, reject and
+  // re-emit exactly the same texts.
+  GbtOptions options;
+  options.n_rounds = 3;
+  options.max_depth = 3;
+  const Problem p = make_problem(120, 0.2, 41);
+  GbtRegressor trained(options);
+  trained.fit(p.x, p.y);
+  const std::vector<std::string> seeds = {
+      trained.serialize(),
+      model_text(kGoodTree),
+      "gbt 1 2\nbase 0\nimportance_gain 0 0\nimportance_count 0 0\n" +
+          std::string(kGoodTree),
+      model_text("tree 0 3\n7 0.5 1 2 0\n-1 0 -1 -1 0.25\n-1 0 -1 -1 -0.25\n"),
+      model_text("tree 0 3\n0 0.5 1 2 0\n1 0.5 0 2 0\n-1 0 -1 -1 -0.25\n"),
+      model_text("tree 0 3\n0 0.5 1 9 0\n-1 0 -1 -1 0.25\n-1 0 -1 -1 -0.25\n"),
+      model_text("tree 0 3\n0 0.5 1 2 0\n-1 0 1 2 0.25\n-1 0 -1 -1 -0.25\n"),
+      model_text("tree 0 999999999\n-1 0 -1 -1 0\n"),
+      model_text("tree 0 3\n0 0.5 1 2 0\n-1 0 -1 -1 0.25\n"),
+      model_text("tree 0 5\n0 0.5 1 2 0\n0 0.25 3 4 0\n0 0.75 3 4 0\n"
+                 "-1 0 -1 -1 1.5\n-1 0 -1 -1 -2\n"),
+      model_text("tree 0 2\n0 0.5 1 1 0\n-1 0 -1 -1 1\n"),
+      model_text("tree 4 3\n0 0.5 1 2 0\n-1 0 -1 -1 0.25\n-1 0 -1 -1 -0.25\n"),
+  };
+  Rng rng(2909);
+  std::string record;
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Half the mutants start from the three well-formed seeds.
+    std::string text = seeds[rng.below(rng.below(2) == 0 ? 3 : seeds.size())];
+    const int edits = 1 + static_cast<int>(rng.below(2));
+    for (int e = 0; e < edits; ++e) text = mutate(std::move(text), rng);
+    try {
+      const std::string once = GbtRegressor::deserialize(text).serialize();
+      EXPECT_EQ(GbtRegressor::deserialize(once).serialize(), once)
+          << "mutant " << i << " is not a fixed point";
+      record += "A " + once;
+      ++accepted;
+    } catch (const ParseError& e) {
+      record += "R ";
+      record += e.what();
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped a non-ParseError: " << e.what();
+    }
+    record += "\n--\n";
+  }
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(rejected, 100);
+  EXPECT_EQ(format_hex64(fnv1a_64(record)), "2962558d3d7a0834")
+      << accepted << " accepted, " << rejected << " rejected";
+}
+
 // --------------------------------------------- tree/forest: hist vs exact ----
 
 // Mirrors the counter-dataset regime the histogram method targets: the

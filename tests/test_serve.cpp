@@ -987,6 +987,22 @@ TEST(ServeCoreTest, StatsReportFleetIdentityAndLanes) {
   EXPECT_EQ(lanes->find("feedback")->find("shed")->as_number(), 1.0);
 }
 
+TEST(ServeCoreTest, StatsReportBootstrapSplit) {
+  const std::string dir = fresh_dir("stats_bootstrap");
+  {
+    ServeCore seeded(test_options(dir));  // parses --model, seeds the store
+    const JsonValue st = JsonValue::parse(seeded.stats_reply("s"));
+    ASSERT_NE(st.find("bootstrap_ms"), nullptr);
+    EXPECT_GE(st.find("bootstrap_ms")->find("load")->as_number(), 0.0);
+    EXPECT_GE(st.find("bootstrap_ms")->find("store")->as_number(), 0.0);
+  }
+  ServeCore survivor(test_options(dir));  // loads the store, writes nothing
+  const JsonValue st = JsonValue::parse(survivor.stats_reply("s"));
+  ASSERT_NE(st.find("bootstrap_ms"), nullptr);
+  EXPECT_GE(st.find("bootstrap_ms")->find("load")->as_number(), 0.0);
+  EXPECT_EQ(st.find("bootstrap_ms")->find("store")->as_number(), 0.0);
+}
+
 // ------------------------------------------------------ crash restart ----
 
 // The acceptance-gate crash test: SIGKILL the serving process mid-refit

@@ -424,9 +424,11 @@ EOF
   # (ServeIntake, ServeTransport), and the scheduler's two backfill passes,
   # which walk the FCFS queue's intrusive link arrays up to their kNull
   # sentinel and the calendar queues' buckets (EngineGolden, EngineDigest,
-  # CalendarQueue).
+  # CalendarQueue). So must the model-text parser, which walks string_view
+  # line and field offsets into one buffer, and the store's read and
+  # two-part write (Gbt.Deserialize, GbtParse, ServeModelStore).
   ctest --preset asan \
-    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts|ServeIntake|ServeTransport|EngineGolden|EngineDigest|CalendarQueue' \
+    -R 'CompiledParity|QuantizedParity|WideWordParity|TrainingGolden|HistDeterministicAcrossThreadCounts|ServeIntake|ServeTransport|EngineGolden|EngineDigest|CalendarQueue|Gbt\.Deserialize|GbtParse|ServeModelStore' \
     --no-tests=error --output-on-failure
   if [[ "${with_tsan}" -eq 1 ]]; then
     # The full suite already ran under TSan above; this re-run asserts the
